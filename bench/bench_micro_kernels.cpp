@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string_view>
 
@@ -454,6 +455,67 @@ KernelReport report_sw(const char* name, bool glocal_mode) {
   return r;
 }
 
+KernelReport report_pair_hmm(const simd::Level fast) {
+  // One active region's read x haplotype matrix, the shape call_region
+  // fills: 100-base reads with a few substitutions and correlated quality
+  // walks against four 300-420 base haplotypes.  61 reads leave a short
+  // last batch at 2 and 4 lanes.
+  const auto& ref = bench_reference();
+  Rng rng(998);
+  const std::string window(ref.slice(1, 20'000, 420));
+  std::vector<std::string> haps;
+  for (std::size_t h = 0; h < 4; ++h) {
+    std::string hap = window.substr(0, 300 + 40 * h);
+    hap[150 + h] = hap[150 + h] == 'A' ? 'G' : 'A';
+    haps.push_back(std::move(hap));
+  }
+  std::vector<std::string> reads;
+  while (reads.size() < 61) {
+    std::string read = window.substr(rng.below(window.size() - 100), 100);
+    for (int k = 0; k < 2; ++k) read[rng.below(100)] = "ACGT"[rng.below(4)];
+    reads.push_back(std::move(read));
+  }
+  const auto quals = harness_qualities(reads);
+  const std::vector<std::string_view> read_views(reads.begin(), reads.end());
+  const std::vector<std::string_view> qual_views(quals.begin(), quals.end());
+  double cells = 0;
+  for (const auto& h : haps) {
+    cells += static_cast<double>(h.size() * reads.size() * 100);
+  }
+
+  const caller::PairHmmOptions options;
+  std::vector<double> ref_ll(reads.size() * haps.size());
+  std::vector<double> fast_ll(ref_ll.size());
+  auto run_ref = [&] {
+    for (std::size_t h = 0; h < haps.size(); ++h) {
+      for (std::size_t r = 0; r < reads.size(); ++r) {
+        ref_ll[h * reads.size() + r] =
+            caller::detail::log10_likelihood_reference(
+                options, read_views[r], qual_views[r], haps[h]);
+      }
+    }
+    benchmark::DoNotOptimize(ref_ll.data());
+  };
+  auto run_fast = [&] {
+    for (std::size_t h = 0; h < haps.size(); ++h) {
+      caller::detail::log10_likelihoods_at(
+          fast, options, read_views, qual_views, haps[h],
+          std::span(fast_ll).subspan(h * reads.size(), reads.size()));
+    }
+    benchmark::DoNotOptimize(fast_ll.data());
+  };
+  KernelReport r{"pair_hmm", "GCUPS"};
+  r.baseline = cells / seconds_per_call(run_ref) / 1e9;
+  r.optimized = cells / seconds_per_call(run_fast) / 1e9;
+
+  // Bit equality, not tolerance: the batched kernel is exact by design.
+  run_ref();
+  run_fast();
+  r.outputs_match = std::memcmp(ref_ll.data(), fast_ll.data(),
+                                ref_ll.size() * sizeof(double)) == 0;
+  return r;
+}
+
 // --- text-parsing kernels (block-parallel front-end) -----------------------
 
 /// Synthetic FASTQ with varied read lengths (crossing 64-byte block and
@@ -621,6 +683,7 @@ int run_json_harness(const std::string& path) {
   reports.push_back(report_qual_decode(fast));
   reports.push_back(report_sw("sw_banded_global", /*glocal_mode=*/false));
   reports.push_back(report_sw("sw_glocal", /*glocal_mode=*/true));
+  reports.push_back(report_pair_hmm(fast));
   reports.push_back(report_fastq_scan(fast));
   reports.push_back(report_sam_fields(fast));
   reports.push_back(report_vcf_records(fast));

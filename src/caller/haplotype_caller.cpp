@@ -34,14 +34,20 @@ std::vector<VcfRecord> call_region(const ActiveRegion& region,
   if (stats != nullptr && assembly.assembled) ++stats->assembled_regions;
   if (assembly.haplotypes.size() < 2) return out;
 
-  // Pair-HMM likelihoods.
-  PairHmm hmm(options.pairhmm);
-  LikelihoodMatrix likelihoods(reads.size());
-  for (std::size_t r = 0; r < reads.size(); ++r) {
-    likelihoods[r].resize(assembly.haplotypes.size());
-    for (std::size_t h = 0; h < assembly.haplotypes.size(); ++h) {
-      likelihoods[r][h] = hmm.log10_likelihood(
-          reads[r]->sequence, reads[r]->quality, assembly.haplotypes[h]);
+  // Pair-HMM likelihoods, every read against one haplotype per call so
+  // the kernel can batch reads across SIMD lanes.
+  const PairHmm hmm(options.pairhmm);
+  std::vector<std::string_view> read_quals;
+  read_quals.reserve(reads.size());
+  for (const auto* r : reads) read_quals.push_back(r->quality);
+  const std::size_t num_haps = assembly.haplotypes.size();
+  LikelihoodMatrix likelihoods(reads.size(), std::vector<double>(num_haps));
+  std::vector<double> column(reads.size());
+  for (std::size_t h = 0; h < num_haps; ++h) {
+    hmm.log10_likelihoods(read_seqs, read_quals, assembly.haplotypes[h],
+                          column);
+    for (std::size_t r = 0; r < reads.size(); ++r) {
+      likelihoods[r][h] = column[r];
     }
   }
   if (stats != nullptr) stats->reads_processed += reads.size();

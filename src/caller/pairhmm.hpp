@@ -6,11 +6,18 @@
 // space with per-row scaling; emission probabilities come from the base
 // quality string.  This kernel dominates Caller-phase CPU exactly as the
 // paper reports.
+//
+// The kernel is vectorized across reads: each SIMD lane evaluates one read
+// of a batch that shares a haplotype, performing the scalar recurrence's
+// double-precision operations in the same order, so every likelihood is
+// bit-identical to detail::log10_likelihood_reference at every dispatch
+// level (see EXPERIMENTS.md, "Pair-HMM").
 #pragma once
 
-#include <cstdint>
+#include <span>
 #include <string_view>
-#include <vector>
+
+#include "common/simd.hpp"
 
 namespace gpf::caller {
 
@@ -21,7 +28,7 @@ struct PairHmmOptions {
   double gap_extend = 0.1;
 };
 
-/// Evaluator reusing its DP buffers across calls; one instance per thread.
+/// Evaluator; DP buffers are thread-local and reused across calls.
 class PairHmm {
  public:
   explicit PairHmm(PairHmmOptions options = {});
@@ -29,12 +36,38 @@ class PairHmm {
   /// log10 P(read | haplotype).  `quality` is Phred+33, same length as
   /// `read`.
   double log10_likelihood(std::string_view read, std::string_view quality,
-                          std::string_view haplotype);
+                          std::string_view haplotype) const;
+
+  /// out[i] = log10 P(reads[i] | haplotype) for every read, bit-identical
+  /// to calling log10_likelihood() once per read.  `quals[i]` is the
+  /// quality string of `reads[i]`; all three spans have one entry per read.
+  /// Dispatches on simd::active_level().
+  void log10_likelihoods(std::span<const std::string_view> reads,
+                         std::span<const std::string_view> quals,
+                         std::string_view haplotype,
+                         std::span<double> out) const;
 
  private:
   PairHmmOptions options_;
-  // Two rolling rows for each of the three state matrices.
-  std::vector<double> m_[2], x_[2], y_[2];
 };
 
+namespace detail {
+
+/// log10_likelihoods at an explicit dispatch level (no higher than
+/// simd::detect_level()): kScalar evaluates one read at a time, kSse4 runs
+/// the portable 4-lane build, kAvx2 the AVX2 4-lane build.  Tests and the
+/// perf harness use it to compare levels on one binary.
+void log10_likelihoods_at(simd::Level level, const PairHmmOptions& options,
+                          std::span<const std::string_view> reads,
+                          std::span<const std::string_view> quals,
+                          std::string_view haplotype, std::span<double> out);
+
+/// The original one-pair scalar kernel, kept as the bit-exact oracle for
+/// the differential tests and the micro-benchmark baseline.
+double log10_likelihood_reference(const PairHmmOptions& options,
+                                  std::string_view read,
+                                  std::string_view quality,
+                                  std::string_view haplotype);
+
+}  // namespace detail
 }  // namespace gpf::caller

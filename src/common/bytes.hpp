@@ -135,9 +135,10 @@ class ByteReader {
     return v;
   }
 
-  /// Reserves `n` bytes, returning the start offset.
+  /// Reserves `n` bytes, returning the start offset.  Compares against
+  /// remaining() so a huge varint-decoded `n` cannot wrap `pos_ + n`.
   std::size_t need(std::size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > remaining()) {
       throw std::out_of_range("ByteReader: truncated input");
     }
     const std::size_t at = pos_;

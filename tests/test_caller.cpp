@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "align/bwamem.hpp"
 #include "align/fm_index.hpp"
@@ -14,6 +17,10 @@
 #include "caller/haplotype_caller.hpp"
 #include "caller/pairhmm.hpp"
 #include "cleaner/sorter.hpp"
+#include "common/checksum.hpp"
+#include "common/rng.hpp"
+#include "common/simd.hpp"
+#include "engine/fault_injector.hpp"
 #include "simdata/read_sim.hpp"
 #include "simdata/reference_gen.hpp"
 #include "simdata/variant_gen.hpp"
@@ -235,6 +242,280 @@ TEST(PairHmm, LongReadNoUnderflow) {
   EXPECT_GT(ll, -100.0);
 }
 
+// --- pair-HMM differential wall ----------------------------------------------
+//
+// The batched kernel must reproduce detail::log10_likelihood_reference bit
+// for bit (memcmp of the doubles) at every dispatch level this CPU runs.
+// Inputs are drawn under GPF_FUZZ_SEED, which CI sweeps under ASan with
+// GPF_FORCE_SCALAR both off and on.
+
+std::uint64_t hmm_fuzz_seed() {
+  return engine::seed_from_env("GPF_FUZZ_SEED", 42);
+}
+
+std::vector<simd::Level> runnable_levels() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::detect_level() >= simd::Level::kSse4) {
+    levels.push_back(simd::Level::kSse4);
+  }
+  if (simd::detect_level() >= simd::Level::kAvx2) {
+    levels.push_back(simd::Level::kAvx2);
+  }
+  return levels;
+}
+
+struct HmmCase {
+  std::vector<std::string> reads;
+  std::vector<std::string> quals;
+  std::string haplotype;
+};
+
+/// Checks every runnable level, the dispatched batch call and the one-pair
+/// call against the reference; returns the reference likelihoods.
+std::vector<double> expect_matches_reference(
+    const HmmCase& c, const PairHmmOptions& options = {}) {
+  const std::vector<std::string_view> reads(c.reads.begin(), c.reads.end());
+  const std::vector<std::string_view> quals(c.quals.begin(), c.quals.end());
+  std::vector<double> want(reads.size());
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    want[r] = detail::log10_likelihood_reference(options, reads[r], quals[r],
+                                                 c.haplotype);
+  }
+  auto expect_same = [&](const std::vector<double>& got, const char* what) {
+    for (std::size_t r = 0; r < reads.size(); ++r) {
+      EXPECT_EQ(std::memcmp(&got[r], &want[r], sizeof(double)), 0)
+          << what << " read " << r << "/" << reads.size() << ": got "
+          << got[r] << " want " << want[r] << " (seed " << hmm_fuzz_seed()
+          << ", read '" << reads[r] << "', hap '" << c.haplotype << "')";
+    }
+  };
+  std::vector<double> got(reads.size(), 1.0);
+  for (const simd::Level level : runnable_levels()) {
+    std::fill(got.begin(), got.end(), 1.0);
+    detail::log10_likelihoods_at(level, options, reads, quals, c.haplotype,
+                                 got);
+    expect_same(got, simd::level_name(level));
+  }
+  const PairHmm hmm(options);
+  std::fill(got.begin(), got.end(), 1.0);
+  hmm.log10_likelihoods(reads, quals, c.haplotype, got);
+  expect_same(got, "dispatched");
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    got[r] = hmm.log10_likelihood(reads[r], quals[r], c.haplotype);
+  }
+  expect_same(got, "one-pair");
+  return want;
+}
+
+std::string random_bases(Rng& rng, std::size_t n, const char* alphabet) {
+  const std::size_t k = std::strlen(alphabet);
+  std::string s(n, 'A');
+  for (auto& ch : s) ch = alphabet[rng.below(k)];
+  return s;
+}
+
+/// A read drawn from the haplotype with a few substitutions, so likelihoods
+/// span the realistic range rather than all sitting near the floor.
+std::string read_from(Rng& rng, const std::string& hap, std::size_t len) {
+  std::string r = len <= hap.size()
+                      ? hap.substr(rng.below(hap.size() - len + 1), len)
+                      : random_bases(rng, len, "ACGT");
+  for (std::size_t k = rng.below(4); k > 0 && !r.empty(); --k) {
+    r[rng.below(r.size())] = "ACGTN"[rng.below(5)];
+  }
+  return r;
+}
+
+/// Qualities '!'..'J' (Phred 0..41; Phred 0 clamps to 1 as in the reference).
+std::string random_quals(Rng& rng, std::size_t n) {
+  std::string q(n, 'I');
+  for (auto& ch : q) ch = static_cast<char>('!' + rng.below('J' - '!' + 1));
+  return q;
+}
+
+TEST(PairHmmDifferential, BatchSizesOneToNine) {
+  Rng rng(hmm_fuzz_seed());
+  for (std::size_t batch = 1; batch <= 9; ++batch) {
+    for (int trial = 0; trial < 4; ++trial) {
+      HmmCase c;
+      c.haplotype = random_bases(rng, 20 + rng.below(120), "ACGT");
+      const std::size_t len = 1 + rng.below(60);
+      for (std::size_t r = 0; r < batch; ++r) {
+        c.reads.push_back(read_from(rng, c.haplotype, len));
+        c.quals.push_back(random_quals(rng, len));
+      }
+      expect_matches_reference(c);
+    }
+  }
+}
+
+TEST(PairHmmDifferential, UnequalReadLengths) {
+  Rng rng(hmm_fuzz_seed() + 1);
+  for (int trial = 0; trial < 12; ++trial) {
+    HmmCase c;
+    c.haplotype = random_bases(rng, 50 + rng.below(200), "ACGT");
+    const std::size_t n = 1 + rng.below(24);
+    for (std::size_t r = 0; r < n; ++r) {
+      // Few distinct lengths so groups of several lanes form, with tails.
+      const std::size_t len = 30 + 7 * rng.below(5) + rng.below(2);
+      c.reads.push_back(read_from(rng, c.haplotype, len));
+      c.quals.push_back(random_quals(rng, len));
+    }
+    expect_matches_reference(c);
+  }
+}
+
+TEST(PairHmmDifferential, NBasesInReadAndHaplotype) {
+  Rng rng(hmm_fuzz_seed() + 2);
+  for (int trial = 0; trial < 12; ++trial) {
+    HmmCase c;
+    c.haplotype = random_bases(rng, 40 + rng.below(80), "ACGTNACGT");
+    for (std::size_t r = 0; r < 1 + rng.below(9); ++r) {
+      const std::size_t len = 10 + rng.below(3);
+      c.reads.push_back(random_bases(rng, len, "ACGTNN"));
+      c.quals.push_back(random_quals(rng, len));
+    }
+    c.reads.push_back(std::string(c.reads[0].size(), 'N'));
+    c.quals.push_back(random_quals(rng, c.reads.back().size()));
+    expect_matches_reference(c);
+  }
+}
+
+TEST(PairHmmDifferential, NonAcgtnHaplotypeBytes) {
+  // Lower case, punctuation, NUL and high bytes: each is its own emission
+  // code, and a read carrying the same byte must still score a match.
+  const std::string odd = std::string("acgtnX-*.") + '\0' + '\x80' + '\xff';
+  Rng rng(hmm_fuzz_seed() + 3);
+  for (int trial = 0; trial < 12; ++trial) {
+    HmmCase c;
+    c.haplotype = random_bases(rng, 30 + rng.below(60), "ACGT");
+    for (std::size_t k = 0; k < 1 + rng.below(12); ++k) {
+      c.haplotype[rng.below(c.haplotype.size())] = odd[rng.below(odd.size())];
+    }
+    for (std::size_t r = 0; r < 1 + rng.below(9); ++r) {
+      std::string read = read_from(rng, c.haplotype, 20);
+      if (rng.below(2) == 0) {
+        read[rng.below(read.size())] = odd[rng.below(odd.size())];
+      }
+      c.quals.push_back(random_quals(rng, read.size()));
+      c.reads.push_back(std::move(read));
+    }
+    expect_matches_reference(c);
+  }
+  // Every byte value, in the haplotype and in the read.
+  HmmCase all;
+  for (int b = 0; b < 256; ++b) all.haplotype.push_back(static_cast<char>(b));
+  for (int r = 0; r < 5; ++r) {
+    all.reads.push_back(all.haplotype.substr(50 * r, 40));
+    all.quals.push_back(random_quals(rng, 40));
+  }
+  expect_matches_reference(all);
+}
+
+TEST(PairHmmDifferential, EveryQualityByte) {
+  // '!'..'J' is the Illumina range; the table must also reproduce the
+  // reference for every other byte, including the ones a signed char
+  // makes negative.
+  Rng rng(hmm_fuzz_seed() + 4);
+  HmmCase c;
+  c.haplotype = random_bases(rng, 120, "ACGT");
+  for (int first = 0; first < 256; first += 32) {
+    std::string read = read_from(rng, c.haplotype, 32);
+    std::string qual(32, 'I');
+    for (int k = 0; k < 32; ++k) qual[k] = static_cast<char>(first + k);
+    c.reads.push_back(std::move(read));
+    c.quals.push_back(std::move(qual));
+  }
+  std::string illumina;
+  for (char q = '!'; q <= 'J'; ++q) illumina.push_back(q);
+  c.reads.push_back(read_from(rng, c.haplotype, illumina.size()));
+  c.quals.push_back(illumina);
+  expect_matches_reference(c);
+}
+
+TEST(PairHmmDifferential, EmptyReadOrHaplotype) {
+  HmmCase c;
+  c.haplotype = "ACGTACGTAC";
+  c.reads = {"", "ACG", "", "ACGTA", ""};
+  c.quals = {"", "III", "", "IIIII", ""};
+  const auto want = expect_matches_reference(c);
+  EXPECT_EQ(want[0], -300.0);
+  EXPECT_GT(want[1], -300.0);
+  c.haplotype.clear();
+  for (const double ll : expect_matches_reference(c)) EXPECT_EQ(ll, -300.0);
+  c.reads.clear();
+  c.quals.clear();
+  EXPECT_TRUE(expect_matches_reference(c).empty());
+}
+
+TEST(PairHmmDifferential, LongMismatchReadTriggersRowScaling) {
+  // Q40 mismatches cost ~10^-4.5 per row and the insert-only path ~10^-1,
+  // so a 300-base mostly-mismatch read falls below the 1e-200 scaling
+  // threshold; lanes of one batch scale on different rows.
+  Rng rng(hmm_fuzz_seed() + 5);
+  HmmCase c;
+  c.haplotype = std::string(350, 'C');
+  for (int r = 0; r < 7; ++r) {
+    std::string read(300, 'A');
+    for (int k = 0; k < r * 20; ++k) read[rng.below(read.size())] = 'C';
+    c.reads.push_back(std::move(read));
+    c.quals.push_back(r % 2 == 0 ? std::string(300, 'I')
+                                 : random_quals(rng, 300));
+  }
+  for (const double ll : expect_matches_reference(c)) {
+    EXPECT_LT(ll, -200.0);  // below the scaling threshold
+    EXPECT_NE(ll, -300.0);  // scaled, not the underflow exit
+  }
+}
+
+TEST(PairHmmDifferential, RowUnderflowToZero) {
+  // gap_extend = 1 gives zero match-from-gap mass and gap_open = 0.5 zero
+  // match-to-match mass, so the first row is exactly zero and every read
+  // takes the reference's -300 underflow exit.
+  PairHmmOptions options;
+  options.gap_open = 0.5;
+  options.gap_extend = 1.0;
+  Rng rng(hmm_fuzz_seed() + 6);
+  HmmCase c;
+  c.haplotype = random_bases(rng, 64, "ACGT");
+  for (int r = 0; r < 6; ++r) {
+    c.reads.push_back(read_from(rng, c.haplotype, 24));
+    c.quals.push_back(random_quals(rng, 24));
+  }
+  for (const double ll : expect_matches_reference(c, options)) {
+    EXPECT_EQ(ll, -300.0);
+  }
+}
+
+TEST(PairHmmDifferential, RegionShapedMatrix) {
+  // 100-base reads against 300-420 base haplotypes, the caller's shape.
+  Rng rng(hmm_fuzz_seed() + 7);
+  const std::string ref = random_bases(rng, 420, "ACGT");
+  HmmCase c;
+  for (int r = 0; r < 37; ++r) {
+    c.reads.push_back(read_from(rng, ref, 100));
+    c.quals.push_back(random_quals(rng, 100));
+  }
+  for (int h = 0; h < 3; ++h) {
+    c.haplotype = ref.substr(0, 300 + 60 * h);
+    c.haplotype[150] = "ACG"[h];
+    expect_matches_reference(c);
+  }
+}
+
+TEST(PairHmmDifferential, MismatchedSizesThrow) {
+  const PairHmm hmm;
+  const std::vector<std::string_view> reads = {"ACGT", "ACGT"};
+  const std::vector<std::string_view> quals = {"IIII", "II"};
+  std::vector<double> out(2);
+  EXPECT_THROW(hmm.log10_likelihoods(reads, quals, "ACGTACGT", out),
+               std::invalid_argument);
+  std::vector<double> short_out(1);
+  EXPECT_THROW(hmm.log10_likelihoods(reads, std::span(quals).first(1),
+                                     "ACGTACGT", short_out),
+               std::invalid_argument);
+}
+
 // --- genotyper ------------------------------------------------------------------
 
 TEST(Genotyper, CallsHetSnp) {
@@ -364,6 +645,49 @@ TEST(HaplotypeCallerE2E, RecoversPlantedVariants) {
   EXPECT_GT(precision, 0.80) << call_correct << "/" << call_snps;
 }
 
+TEST(HaplotypeCallerE2E, VcfDigestGolden) {
+  // A fixed simulated workload whose VCF digest was recorded with the
+  // original one-pair scalar pair-HMM.  Every kernel and dispatch level
+  // must reproduce it bit for bit (CI runs this suite with
+  // GPF_FORCE_SCALAR=0 and =1).
+  const Reference ref = simdata::generate_reference(
+      simdata::ReferenceSpec::single(60'000, 307));
+  simdata::VariantSpec vspec;
+  vspec.snp_rate = 0.001;
+  vspec.indel_rate = 0.0003;
+  vspec.seed = 311;
+  const auto truth = simdata::spawn_variants(ref, vspec);
+  const simdata::Donor donor(ref, truth);
+  simdata::ReadSimSpec rspec;
+  rspec.coverage = 20.0;
+  rspec.seed = 313;
+  const auto sample = simdata::simulate_reads(ref, donor, rspec);
+
+  const align::FmIndex index(ref);
+  const align::ReadAligner aligner(index);
+  std::vector<SamRecord> records;
+  for (const auto& pair : sample.pairs) {
+    auto [r1, r2] = aligner.align_pair(pair);
+    if (!r1.is_unmapped()) records.push_back(std::move(r1));
+    if (!r2.is_unmapped()) records.push_back(std::move(r2));
+  }
+  cleaner::coordinate_sort(records);
+  const auto calls = call_variants(records, ref, {});
+  ASSERT_GT(calls.size(), 30u);
+
+  VcfHeader header;
+  for (const auto& c : ref.contigs()) {
+    header.contigs.push_back(
+        {c.name, static_cast<std::int64_t>(c.sequence.size())});
+  }
+  const std::string vcf = write_vcf(header, calls);
+  const std::uint64_t digest = fnv1a64(std::span(
+      reinterpret_cast<const std::uint8_t*>(vcf.data()), vcf.size()));
+  EXPECT_EQ(digest, 0xc87757e7e8a42bfeULL)
+      << calls.size() << " calls, " << vcf.size() << " bytes, level "
+      << simd::level_name(simd::active_level()) << ", digest 0x" << std::hex
+      << digest;
+}
 
 // --- gVCF -----------------------------------------------------------------
 

@@ -285,6 +285,30 @@ TEST(Bytes, TruncatedInputThrows) {
   EXPECT_THROW(r.u64(), std::out_of_range);
 }
 
+TEST(Bytes, HugeLengthNearSizeMaxThrows) {
+  // A varint-decoded length near SIZE_MAX must not wrap the bounds check
+  // (pos_ + n) and hand out a view past the end of the buffer.
+  for (const std::uint64_t n :
+       {std::uint64_t{SIZE_MAX}, std::uint64_t{SIZE_MAX} - 1,
+        std::uint64_t{SIZE_MAX} - 2}) {
+    ByteWriter w;
+    w.u8(0x11);
+    w.uvarint(n);
+    w.u8(0x22);
+    ByteReader r(std::span(w.bytes().data(), w.bytes().size()));
+    ASSERT_EQ(r.u8(), 0x11);
+    EXPECT_THROW(r.str(), std::out_of_range) << n;
+
+    ByteReader raw_reader(std::span(w.bytes().data(), w.bytes().size()));
+    raw_reader.u8();
+    raw_reader.uvarint();
+    EXPECT_THROW(raw_reader.raw(static_cast<std::size_t>(n)),
+                 std::out_of_range)
+        << n;
+    EXPECT_EQ(raw_reader.remaining(), 1u);
+  }
+}
+
 TEST(Histogram, BasicCountsAndFractions) {
   Histogram h;
   h.add(5, 3);
