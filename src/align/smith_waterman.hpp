@@ -1,12 +1,21 @@
 // Banded pairwise alignment with affine gap penalties and CIGAR traceback —
-// the extension kernel behind the BWA-MEM-like aligner and the indel
-// realigner.
+// the extension kernel behind the BWA-MEM-like aligner, the mate rescue, the
+// hash aligner, the indel realigner and the genotyper.
+//
+// The kernel sweeps the band by anti-diagonals: the cells of one diagonal do
+// not depend on each other, so each SIMD vector computes consecutive rows of
+// a diagonal in int32 lanes (8 under AVX2).  Every lane evaluates the
+// row-major recurrence's integer expressions in the same order, so scores,
+// spans, mismatches and CIGARs equal the full-matrix reference DP's at every
+// dispatch level (see EXPERIMENTS.md, "Banded SW").  A negative band throws
+// std::invalid_argument.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "common/simd.hpp"
 #include "formats/cigar.hpp"
 
 namespace gpf::align {
@@ -47,11 +56,23 @@ AlignmentResult glocal(std::string_view query, std::string_view ref,
 
 namespace detail {
 
+/// banded_global / glocal at an explicit dispatch level (no higher than
+/// simd::detect_level()): kScalar runs the kernel one lane wide, kSse4 the
+/// portable 4-lane build, kAvx2 the AVX2 8-lane build.  Tests use them to
+/// compare every level on one binary.
+AlignmentResult banded_global_at(simd::Level level, std::string_view query,
+                                 std::string_view ref,
+                                 const ScoringScheme& scoring, int band);
+AlignmentResult glocal_at(simd::Level level, std::string_view query,
+                          std::string_view ref, const ScoringScheme& scoring,
+                          int band);
+
 /// Unoptimized reference kernels: the original full-matrix Gotoh DP that
 /// allocates six (m+1)x(n+1) matrices per call.  The production kernels
-/// above use a reusable per-thread workspace with banded row-pair storage;
-/// these stay behind so the equivalence tests and the perf-regression
-/// harness can check the fast path cell-for-cell against the textbook one.
+/// above use a reusable per-thread workspace with anti-diagonal banded
+/// storage; these stay behind so the equivalence tests and the
+/// perf-regression harness can check the fast path against the textbook
+/// one.
 AlignmentResult banded_global_reference(std::string_view query,
                                         std::string_view ref,
                                         const ScoringScheme& scoring,

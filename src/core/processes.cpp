@@ -128,6 +128,7 @@ engine::ShuffleCodec<RegionBundle> make_bundle_codec(Codec codec) {
       [codec](std::span<const std::uint8_t> bytes) {
         return decode_bundle_batch(bytes, codec);
       },
+      /*encode_into=*/nullptr,  // bundles have no pooled encoder
   };
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "align/bwamem.hpp"
@@ -11,6 +12,8 @@
 #include "align/smith_waterman.hpp"
 #include "align/suffix_array.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
+#include "engine/fault_injector.hpp"
 #include "simdata/read_sim.hpp"
 #include "simdata/reference_gen.hpp"
 
@@ -294,6 +297,284 @@ TEST(SmithWaterman, CigarConsistencyProperty) {
               static_cast<std::uint32_t>(r.query_end - r.query_start));
     EXPECT_EQ(cigar_reference_length(r.cigar),
               static_cast<std::uint32_t>(r.ref_end - r.ref_start));
+  }
+}
+
+TEST(SmithWaterman, NegativeBandIsInvalidArgument) {
+  for (const int band : {-1, -3}) {
+    EXPECT_THROW(banded_global("ACGT", "ACGT", {}, band),
+                 std::invalid_argument);
+    EXPECT_THROW(glocal("ACGT", "ACGT", {}, band), std::invalid_argument);
+    EXPECT_THROW(detail::banded_global_reference("ACGT", "ACGT", {}, band),
+                 std::invalid_argument);
+    EXPECT_THROW(detail::glocal_reference("ACGT", "ACGT", {}, band),
+                 std::invalid_argument);
+    EXPECT_THROW(detail::glocal_at(simd::Level::kScalar, "ACGT", "ACGT", {},
+                                   band),
+                 std::invalid_argument);
+    EXPECT_THROW(detail::banded_global_at(simd::Level::kScalar, "ACGT", "ACGT",
+                                          {}, band),
+                 std::invalid_argument);
+    // Checked before the empty-input rules.
+    EXPECT_THROW(glocal("", "ACGT", {}, band), std::invalid_argument);
+  }
+}
+
+// --- Smith-Waterman differential wall ---------------------------------------
+//
+// The anti-diagonal kernel must reproduce the full-matrix reference DP at
+// every dispatch level this CPU runs: score, spans, mismatches and CIGAR.
+// Inputs are drawn under GPF_FUZZ_SEED, which CI sweeps under ASan with
+// GPF_FORCE_SCALAR both off and on.
+
+std::uint64_t sw_fuzz_seed() {
+  return engine::seed_from_env("GPF_FUZZ_SEED", 42);
+}
+
+std::vector<simd::Level> runnable_levels() {
+  std::vector<simd::Level> levels = {simd::Level::kScalar};
+  if (simd::detect_level() >= simd::Level::kSse4) {
+    levels.push_back(simd::Level::kSse4);
+  }
+  if (simd::detect_level() >= simd::Level::kAvx2) {
+    levels.push_back(simd::Level::kAvx2);
+  }
+  return levels;
+}
+
+std::string printable(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    const auto b = static_cast<unsigned char>(c);
+    if (b >= 0x20 && b < 0x7f) {
+      out += c;
+    } else {
+      out += "\\x" + std::string(1, "0123456789abcdef"[b >> 4]) +
+             "0123456789abcdef"[b & 15];
+    }
+  }
+  return out;
+}
+
+/// Checks glocal and banded_global at every runnable level, plus the
+/// dispatched entry points, against the reference kernels.
+void expect_levels_match_reference(std::string_view query,
+                                   std::string_view ref,
+                                   const ScoringScheme& s, int band) {
+  const std::string label =
+      "seed " + std::to_string(sw_fuzz_seed()) + " band " +
+      std::to_string(band) + " scoring {" + std::to_string(s.match) + "," +
+      std::to_string(s.mismatch) + "," + std::to_string(s.gap_open) + "," +
+      std::to_string(s.gap_extend) + "," + std::to_string(s.n_score) +
+      "} query '" + printable(query) + "' ref '" + printable(ref) + "'";
+  const AlignmentResult want_local =
+      detail::glocal_reference(query, ref, s, band);
+  const AlignmentResult want_global =
+      detail::banded_global_reference(query, ref, s, band);
+  for (const simd::Level level : runnable_levels()) {
+    const std::string at = std::string(simd::level_name(level)) + " " + label;
+    expect_same_alignment(detail::glocal_at(level, query, ref, s, band),
+                          want_local, "glocal " + at);
+    expect_same_alignment(
+        detail::banded_global_at(level, query, ref, s, band), want_global,
+        "global " + at);
+  }
+  expect_same_alignment(glocal(query, ref, s, band), want_local,
+                        "glocal dispatched " + label);
+  expect_same_alignment(banded_global(query, ref, s, band), want_global,
+                        "global dispatched " + label);
+}
+
+std::string random_seq(Rng& rng, std::size_t n, std::string_view alphabet) {
+  std::string s(n, 'A');
+  for (auto& c : s) c = alphabet[rng.below(alphabet.size())];
+  return s;
+}
+
+/// The query as a mutated slice of `ref`: substitutions from `alphabet`
+/// plus occasional short indels, so alignments have real structure.
+std::string mutated_slice(Rng& rng, const std::string& ref, std::size_t len,
+                          std::string_view alphabet) {
+  len = std::min(len, ref.size());
+  std::string q = ref.substr(rng.below(ref.size() - len + 1), len);
+  for (std::size_t k = rng.below(6); k > 0; --k) {
+    q[rng.below(q.size())] = alphabet[rng.below(alphabet.size())];
+  }
+  if (rng.below(2) == 0 && q.size() > 4) {
+    q.erase(rng.below(q.size() - 2), 1 + rng.below(3));
+  }
+  if (rng.below(2) == 0) {
+    q.insert(rng.below(q.size() + 1),
+             random_seq(rng, 1 + rng.below(3), alphabet));
+  }
+  return q;
+}
+
+std::int32_t draw(Rng& rng, std::int32_t lo, std::int32_t hi) {
+  return lo + static_cast<std::int32_t>(
+                  rng.below(static_cast<std::uint64_t>(hi - lo + 1)));
+}
+
+/// Any small integer scheme: zero scores, gap_open above gap_extend,
+/// N scoring above a match.
+ScoringScheme random_scoring(Rng& rng) {
+  ScoringScheme s;
+  s.match = draw(rng, 0, 5);
+  s.mismatch = draw(rng, -8, 1);
+  s.gap_open = draw(rng, -12, 0);
+  s.gap_extend = draw(rng, -6, 0);
+  s.n_score = draw(rng, -5, 2);
+  return s;
+}
+
+TEST(SmithWatermanDifferential, EveryByteValue) {
+  Rng rng(sw_fuzz_seed());
+  std::string all_bytes(256, '\0');
+  for (int b = 0; b < 256; ++b) all_bytes[b] = static_cast<char>(b);
+  // Every byte value appears in both roles, against itself and against N.
+  for (std::size_t start = 0; start < 256; start += 32) {
+    const std::string chunk = all_bytes.substr(start, 32);
+    expect_levels_match_reference(chunk, chunk, {}, 4);
+    expect_levels_match_reference(chunk, std::string(32, 'N'), {}, 4);
+    expect_levels_match_reference(std::string(32, 'n'), chunk, {}, 4);
+  }
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::string_view alphabet =
+        trial % 3 == 0 ? std::string_view(all_bytes)
+                       : std::string_view(trial % 3 == 1 ? "ACGTNnx" : "AN");
+    const std::string ref = random_seq(rng, 1 + rng.below(90), alphabet);
+    const std::string query =
+        rng.below(2) == 0 ? mutated_slice(rng, ref, 1 + rng.below(80), alphabet)
+                          : random_seq(rng, 1 + rng.below(80), alphabet);
+    const ScoringScheme s =
+        rng.below(2) == 0 ? ScoringScheme{} : random_scoring(rng);
+    expect_levels_match_reference(query, ref, s,
+                                  static_cast<int>(rng.below(20)));
+  }
+}
+
+TEST(SmithWatermanDifferential, RandomScoringSchemes) {
+  Rng rng(sw_fuzz_seed() + 1);
+  for (int trial = 0; trial < 200; ++trial) {
+    ScoringScheme s = random_scoring(rng);
+    if (trial % 4 == 0) {
+      // Extension dearer than opening, and a zero-cost gap open.
+      s.gap_extend = draw(rng, -9, -3);
+      s.gap_open = draw(rng, s.gap_extend + 1, 0);
+    }
+    const std::string ref = random_seq(rng, 2 + rng.below(120), "ACGTN");
+    const std::string query =
+        mutated_slice(rng, ref, 1 + rng.below(100), "ACGTN");
+    expect_levels_match_reference(query, ref, s,
+                                  static_cast<int>(rng.below(40)));
+  }
+}
+
+TEST(SmithWatermanDifferential, BandZeroAndBandsWiderThanInputs) {
+  Rng rng(sw_fuzz_seed() + 2);
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::string ref = random_seq(rng, 1 + rng.below(70), "ACGT");
+    const std::string query =
+        rng.below(2) == 0 ? mutated_slice(rng, ref, 1 + rng.below(70), "ACGT")
+                          : random_seq(rng, 1 + rng.below(70), "ACGT");
+    const int band = trial % 3 == 0   ? 0
+                     : trial % 3 == 1 ? 1
+                                      : 100 + static_cast<int>(rng.below(900));
+    const ScoringScheme s =
+        rng.below(2) == 0 ? ScoringScheme{} : random_scoring(rng);
+    expect_levels_match_reference(query, ref, s, band);
+  }
+}
+
+TEST(SmithWatermanDifferential, QueryLongerThanReference) {
+  Rng rng(sw_fuzz_seed() + 3);
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::string ref = random_seq(rng, 1 + rng.below(60), "ACGT");
+    std::string query = ref;
+    for (std::size_t k = 1 + rng.below(60); k > 0; --k) {
+      query.insert(rng.below(query.size() + 1), 1, "ACGT"[rng.below(4)]);
+    }
+    for (std::size_t k = rng.below(4); k > 0; --k) {
+      query[rng.below(query.size())] = "ACGTN"[rng.below(5)];
+    }
+    const ScoringScheme s =
+        rng.below(2) == 0 ? ScoringScheme{} : random_scoring(rng);
+    expect_levels_match_reference(query, ref, s,
+                                  static_cast<int>(rng.below(24)));
+  }
+}
+
+TEST(SmithWatermanDifferential, OneBaseInputs) {
+  Rng rng(sw_fuzz_seed() + 4);
+  const std::string_view alphabet = "ACNn";
+  for (const char a : alphabet) {
+    for (const char b : alphabet) {
+      for (const int band : {0, 1, 5}) {
+        expect_levels_match_reference(std::string(1, a), std::string(1, b), {},
+                                      band);
+      }
+    }
+  }
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::string one(1, "ACGTN"[rng.below(5)]);
+    const std::string other = random_seq(rng, 1 + rng.below(40), "ACGTN");
+    const ScoringScheme s =
+        rng.below(2) == 0 ? ScoringScheme{} : random_scoring(rng);
+    const int band = static_cast<int>(rng.below(8));
+    expect_levels_match_reference(one, other, s, band);
+    expect_levels_match_reference(other, one, s, band);
+  }
+}
+
+TEST(SmithWatermanDifferential, RepeatRichTiedMaxima) {
+  // Periodic sequences and homopolymers give many cells with the same best
+  // local score; the kernel must pick the reference's row-major first one.
+  Rng rng(sw_fuzz_seed() + 5);
+  const std::string_view units[] = {"A", "AC", "ACG", "AAC", "ACGT"};
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::string_view unit = units[rng.below(std::size(units))];
+    const std::size_t rlen = 10 + rng.below(120);
+    std::string ref;
+    while (ref.size() < rlen) ref += unit;
+    const std::string_view qunit = units[rng.below(std::size(units))];
+    const std::size_t qlen = 1 + rng.below(60);
+    std::string query;
+    while (query.size() < qlen) query += qunit;
+    if (rng.below(2) == 0) query[rng.below(query.size())] = 'T';
+    ScoringScheme s;
+    if (trial % 2 == 0) {
+      s.match = 1;
+      s.mismatch = -1;
+      s.gap_open = draw(rng, -2, 0);
+      s.gap_extend = draw(rng, -1, 0);
+    }
+    expect_levels_match_reference(query, ref, s,
+                                  static_cast<int>(rng.below(30)));
+  }
+}
+
+TEST(SmithWatermanDifferential, PipelineShapes) {
+  // The callers' shapes: read extension (100 x 148, band 16), mate rescue
+  // (100 x 1020, band 16), realignment (100 x 260, band 24) and haplotype
+  // scoring (300 x 300 global, band 24).
+  Rng rng(sw_fuzz_seed() + 6);
+  const struct {
+    std::size_t qlen, rlen;
+    int band;
+  } shapes[] = {{100, 148, 16}, {100, 1020, 16}, {100, 260, 24},
+                {300, 300, 24}};
+  for (const auto& shape : shapes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::string ref = random_seq(rng, shape.rlen, "ACGT");
+      std::string query = shape.qlen == shape.rlen
+                              ? mutated_slice(rng, ref, shape.qlen, "ACGT")
+                              : ref.substr(rng.below(shape.rlen - shape.qlen),
+                                           shape.qlen);
+      for (std::size_t k = rng.below(5); k > 0; --k) {
+        query[rng.below(query.size())] = "ACGTN"[rng.below(5)];
+      }
+      expect_levels_match_reference(query, ref, {}, shape.band);
+    }
   }
 }
 
