@@ -133,6 +133,18 @@ void ExecutionBackend::end_plan(const PhysicalPlan&) noexcept {}
 BackendStageStats ExecutionBackend::counters() {
   BackendStageStats stats;
   stats.pooled_bytes = engine().buffer_pool().pooled_bytes();
+  // execute() snapshots only between begin_plan and end_plan, so a
+  // backend's transport is attached whenever it has one.
+  if (const engine::ShuffleTransport* transport =
+          engine().shuffle_transport()) {
+    const engine::ShuffleTransportStats t = transport->stats();
+    stats.blocks_put = t.blocks_put;
+    stats.blocks_fetched = t.blocks_fetched;
+    stats.bytes_put = t.bytes_put;
+    stats.bytes_fetched = t.bytes_fetched;
+    stats.bytes_spilled = t.bytes_spilled;
+    stats.lineage_recoveries = t.lineage_recoveries;
+  }
   return stats;
 }
 

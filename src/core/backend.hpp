@@ -118,7 +118,9 @@ class ExecutionBackend {
   virtual void end_plan(const PhysicalPlan& plan) noexcept;
 
   /// Cumulative transport/residency counters; the driver loop diffs
-  /// snapshots around each stage.  Default: all zero.
+  /// snapshots around each stage.  Default: the attached shuffle
+  /// transport's counters (zero without one) and the buffer pool's
+  /// parked bytes; backends add their own (e.g. residency).
   virtual BackendStageStats counters();
 };
 

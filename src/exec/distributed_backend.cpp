@@ -282,16 +282,4 @@ void DistributedBackend::end_plan(const core::PhysicalPlan&) noexcept {
   engine_.set_shuffle_transport(nullptr);
 }
 
-core::BackendStageStats DistributedBackend::counters() {
-  core::BackendStageStats s = ExecutionBackend::counters();
-  const engine::ShuffleTransportStats t = transport_->stats();
-  s.blocks_put = t.blocks_put;
-  s.blocks_fetched = t.blocks_fetched;
-  s.bytes_put = t.bytes_put;
-  s.bytes_fetched = t.bytes_fetched;
-  s.bytes_spilled = t.bytes_spilled;
-  s.lineage_recoveries = t.lineage_recoveries;
-  return s;
-}
-
 }  // namespace gpf::exec

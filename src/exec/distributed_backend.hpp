@@ -65,7 +65,6 @@ class DistributedBackend final : public core::ExecutionBackend {
  protected:
   void begin_plan(const core::PhysicalPlan& plan) override;
   void end_plan(const core::PhysicalPlan& plan) noexcept override;
-  core::BackendStageStats counters() override;
 
  private:
   engine::Engine engine_;

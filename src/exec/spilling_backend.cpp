@@ -178,13 +178,6 @@ void SpillingBackend::end_plan(const core::PhysicalPlan&) noexcept {
 
 core::BackendStageStats SpillingBackend::counters() {
   core::BackendStageStats s = ExecutionBackend::counters();
-  const engine::ShuffleTransportStats t = transport_->stats();
-  s.blocks_put = t.blocks_put;
-  s.blocks_fetched = t.blocks_fetched;
-  s.bytes_put = t.bytes_put;
-  s.bytes_fetched = t.bytes_fetched;
-  s.bytes_spilled = t.bytes_spilled;
-  s.lineage_recoveries = t.lineage_recoveries;
   const store::ResidencyStats r = store_.residency().stats();
   s.residency_hits = r.hits;
   s.residency_misses = r.misses;

@@ -1,7 +1,7 @@
 // In-memory shuffle block store held by each worker process.
 //
-// The map side of a distributed shuffle deposits encoded buckets here;
-// reduce tasks (running on any worker) fetch them locally or over the
+// The driver pushes each map task's encoded buckets here (the
+// pipeline_stage task) and its reduce tasks fetch them back over the
 // wire.  Blocks are immutable once stored — fetches hand out shared
 // pointers, so a concurrent overwrite (a speculative map copy landing
 // twice) can never mutate bytes a reader is streaming.
@@ -64,9 +64,10 @@ class BlockStore {
   }
 
   /// Erases every block whose key lives under `stage`'s namespace (the
-  /// "stage/" key prefix) and returns the bytes released.  Invoked by
-  /// distributed_shuffle on success so completed shuffles stop pinning
-  /// worker memory; safe to call repeatedly (idempotent).
+  /// "stage/" key prefix) and returns the bytes released.  Invoked through
+  /// the release_blocks task when the driver's shuffle ends, so completed
+  /// shuffles stop pinning worker memory; safe to call repeatedly
+  /// (idempotent).
   std::uint64_t release_namespace(const std::string& stage) {
     const std::string prefix = stage + "/";
     std::lock_guard lock(mu_);

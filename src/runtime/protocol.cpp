@@ -50,25 +50,4 @@ BlockId decode_block_id(ByteReader& r) {
   return id;
 }
 
-void encode_records(ByteWriter& w,
-                    std::span<const std::vector<std::uint8_t>> records) {
-  w.uvarint(records.size());
-  for (const auto& rec : records) {
-    w.uvarint(rec.size());
-    w.raw(std::span<const std::uint8_t>(rec.data(), rec.size()));
-  }
-}
-
-std::vector<std::vector<std::uint8_t>> decode_records(ByteReader& r) {
-  const std::uint64_t count = r.uvarint();
-  std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t n = r.uvarint();
-    const auto bytes = r.raw(n);
-    out.emplace_back(bytes.begin(), bytes.end());
-  }
-  return out;
-}
-
 }  // namespace gpf::runtime

@@ -2,14 +2,12 @@
 //
 // Message payloads are ByteWriter/ByteReader streams (the same primitives
 // every record codec in the repo uses), carried inside net::Frame frames.
-// Records cross the wire as length-prefixed byte strings; a "block" is the
-// encoded form of one map task's bucket for one reduce partition, guarded
-// by the engine's shuffle_block_checksum exactly like the in-process
-// shuffle path.
+// A "block" is the codec-encoded bytes of one map task's bucket for one
+// reduce partition, pushed by the driver and guarded by the engine's
+// shuffle_block_checksum exactly like the in-process shuffle path.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +34,7 @@ enum MessageType : std::uint32_t {
 enum class TaskErrorCode : std::uint8_t {
   kUnknownKind = 1,   // no registered handler for the task kind
   kExecution = 2,     // the handler threw
-  kMissingBlock = 3,  // a shuffle input block is gone (peer dead/evicted)
+  kMissingBlock = 3,  // a shuffle block is gone or failed its checksum
 };
 
 /// One task dispatched to a worker: a registered handler name plus an
@@ -70,15 +68,6 @@ struct BlockId {
   }
 };
 
-/// Where a block lives and what it must contain (checksummed like the
-/// in-process shuffle's BlockMeta).
-struct BlockRef {
-  std::uint16_t port = 0;  // owning worker's loopback port
-  std::uint64_t checksum = 0;
-  std::uint64_t records = 0;
-  std::uint64_t bytes = 0;
-};
-
 void encode_task_request(ByteWriter& w, const TaskRequest& req);
 TaskRequest decode_task_request(ByteReader& r);
 
@@ -87,10 +76,5 @@ TaskError decode_task_error(ByteReader& r);
 
 void encode_block_id(ByteWriter& w, const BlockId& id);
 BlockId decode_block_id(ByteReader& r);
-
-/// Encodes records as a stream: uvarint count, then length-prefixed bytes.
-void encode_records(ByteWriter& w,
-                    std::span<const std::vector<std::uint8_t>> records);
-std::vector<std::vector<std::uint8_t>> decode_records(ByteReader& r);
 
 }  // namespace gpf::runtime

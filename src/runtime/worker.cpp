@@ -1,7 +1,6 @@
 #include "runtime/worker.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "common/trace.hpp"
@@ -10,126 +9,6 @@
 
 namespace gpf::runtime {
 namespace {
-
-/// Partitions a record to [0, num_out) by the named scheme.  Names travel
-/// on the wire because closures cannot; both schemes are deterministic so
-/// recomputed map tasks rebuild bit-identical blocks.
-std::size_t route_record(const std::string& partitioner,
-                         std::span<const std::uint8_t> record,
-                         std::size_t num_out) {
-  if (partitioner == "key_u64") {
-    if (record.size() < 8) {
-      throw std::invalid_argument(
-          "key_u64 partitioner: record shorter than 8 bytes");
-    }
-    std::uint64_t key;
-    std::memcpy(&key, record.data(), 8);
-    return key % num_out;
-  }
-  if (partitioner == "bytes_fnv") {
-    return engine::shuffle_block_checksum(record) % num_out;
-  }
-  throw std::invalid_argument("unknown partitioner '" + partitioner + "'");
-}
-
-/// shuffle_map: bucket the shipped records, encode each bucket into a
-/// pooled buffer, deposit the blocks locally, return the block metas.
-std::vector<std::uint8_t> shuffle_map_task(WorkerContext& ctx,
-                                           const TaskRequest& req) {
-  ByteReader r(std::span<const std::uint8_t>(req.payload.data(),
-                                             req.payload.size()));
-  const std::string partitioner = r.str();
-  const std::uint64_t num_out = r.uvarint();
-  const std::uint32_t delay_ms = r.u32();
-  auto records = decode_records(r);
-  if (num_out == 0) throw std::invalid_argument("shuffle_map: num_out == 0");
-  if (delay_ms > 0) {
-    // Chaos aid: stretches the task so tests can SIGKILL this worker
-    // mid-stage deterministically.
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-  }
-
-  std::vector<std::vector<std::size_t>> buckets(num_out);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    buckets[route_record(partitioner,
-                         std::span<const std::uint8_t>(records[i].data(),
-                                                       records[i].size()),
-                         num_out)]
-        .push_back(i);
-  }
-
-  ByteWriter reply;
-  reply.uvarint(num_out);
-  for (std::uint64_t b = 0; b < num_out; ++b) {
-    // Encode the bucket's record stream into a recycled buffer (the same
-    // BufferPool discipline the in-process shuffle uses).
-    ByteWriter block(ctx.buffer_pool.acquire());
-    block.uvarint(buckets[b].size());
-    for (const std::size_t idx : buckets[b]) {
-      block.uvarint(records[idx].size());
-      block.raw(std::span<const std::uint8_t>(records[idx].data(),
-                                              records[idx].size()));
-    }
-    auto bytes = std::make_shared<std::vector<std::uint8_t>>(block.take());
-    StoredBlock stored;
-    stored.checksum = engine::shuffle_block_checksum(
-        std::span<const std::uint8_t>(bytes->data(), bytes->size()));
-    stored.records = buckets[b].size();
-    stored.bytes = bytes;
-    ctx.blocks.put(BlockId{req.stage, req.task, b}.key(), stored);
-    reply.u64(stored.checksum);
-    reply.uvarint(stored.records);
-    reply.uvarint(bytes->size());
-  }
-  return reply.take();
-}
-
-/// shuffle_reduce: gather one output partition's blocks from their owning
-/// workers (in map-task order, so output is deterministic), validate each
-/// against its checksum and record count, and return the merged stream.
-std::vector<std::uint8_t> shuffle_reduce_task(WorkerContext& ctx,
-                                              const TaskRequest& req) {
-  ByteReader r(std::span<const std::uint8_t>(req.payload.data(),
-                                             req.payload.size()));
-  const std::uint64_t reduce_part = r.uvarint();
-  const std::uint64_t n_in = r.uvarint();
-
-  struct Ref {
-    std::uint16_t port;
-    std::uint64_t checksum;
-    std::uint64_t records;
-  };
-  std::vector<Ref> refs(n_in);
-  for (std::uint64_t i = 0; i < n_in; ++i) {
-    refs[i].port = r.u16();
-    refs[i].checksum = r.u64();
-    refs[i].records = r.uvarint();
-  }
-
-  std::vector<std::vector<std::uint8_t>> out;
-  for (std::uint64_t i = 0; i < n_in; ++i) {
-    const BlockId id{req.stage, i, reduce_part};
-    StoredBlock block = ctx.fetch_block(refs[i].port, id);
-    if (block.checksum != refs[i].checksum) {
-      throw MissingBlockError(
-          i, "block " + id.key() + " failed its checksum");
-    }
-    ByteReader br(std::span<const std::uint8_t>(block.bytes->data(),
-                                                block.bytes->size()));
-    auto records = decode_records(br);
-    if (records.size() != refs[i].records) {
-      throw MissingBlockError(
-          i, "block " + id.key() + " decoded to " +
-                 std::to_string(records.size()) + " records, expected " +
-                 std::to_string(refs[i].records));
-    }
-    for (auto& rec : records) out.push_back(std::move(rec));
-  }
-
-  ByteWriter reply(ctx.buffer_pool.acquire());
-  encode_records(reply, out);
-  return reply.take();
-}
 
 /// pipeline_stage: deposit driver-pushed shuffle blocks for one map task
 /// of a lowered pipeline stage.  Payload: uvarint num_out, then per
@@ -217,8 +96,6 @@ const TaskHandler* TaskRegistry::find(const std::string& kind) const {
 
 void register_builtin_tasks() {
   TaskRegistry& reg = TaskRegistry::global();
-  reg.add("shuffle_map", shuffle_map_task);
-  reg.add("shuffle_reduce", shuffle_reduce_task);
   reg.add("pipeline_stage", pipeline_stage_task);
   reg.add("release_blocks", release_blocks_task);
   reg.add("sleep_echo", sleep_echo_task);
@@ -242,7 +119,7 @@ StoredBlock fetch_block_over_wire(std::uint16_t port, const BlockId& id,
   if (resp.type != kBlockData) {
     ByteReader br(std::span<const std::uint8_t>(resp.payload.data(),
                                                 resp.payload.size()));
-    throw MissingBlockError(id.map_task, "peer at port " +
+    throw MissingBlockError(id.map_task, "worker at port " +
                                              std::to_string(port) +
                                              " has no block " + id.key() +
                                              ": " + br.str());
@@ -267,24 +144,6 @@ StoredBlock fetch_block_over_wire(std::uint16_t port, const BlockId& id,
   }
   block.bytes = std::move(owned);
   return block;
-}
-
-StoredBlock WorkerContext::fetch_block(std::uint16_t port,
-                                       const BlockId& id) const {
-  if (port == server.port()) {
-    auto local = blocks.get(id.key());
-    if (!local) {
-      throw MissingBlockError(id.map_task,
-                              "block " + id.key() + " not in local store");
-    }
-    return *local;
-  }
-  net::ChannelConfig cfg;
-  cfg.connect_timeout_ms = server.config().peer_timeout_ms;
-  cfg.call_timeout_ms = server.config().peer_timeout_ms;
-  cfg.retry.max_attempts = 2;
-  cfg.limits = server.config().limits;
-  return fetch_block_over_wire(port, id, cfg);
 }
 
 WorkerServer::WorkerServer(WorkerConfig config)
@@ -405,7 +264,7 @@ net::Frame WorkerServer::handle_message(const net::Frame& request) {
         response.payload = w.take();
         return response;
       }
-      WorkerContext ctx{*this, blocks_, buffer_pool_};
+      WorkerContext ctx{blocks_};
       try {
         // The span mirrors the driver-side task span: worker traces (when
         // enabled) show the same (stage, task, attempt) identity.

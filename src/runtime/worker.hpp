@@ -1,19 +1,18 @@
 // The worker side of the distributed runtime.
 //
 // A WorkerServer is one process's serving loop: it accepts framed
-// connections from the driver and from peer workers, answers heartbeats,
-// executes registered task handlers, and serves shuffle blocks out of its
-// BlockStore.  Connections get one handler thread each (blocking I/O),
-// so a long-running task on one connection never starves heartbeats
-// arriving on another — that separation is what makes driver-side
-// liveness tracking meaningful.
+// connections from the driver, answers heartbeats, executes registered
+// task handlers, and serves shuffle blocks out of its BlockStore.
+// Connections get one handler thread each (blocking I/O), so a
+// long-running task on one connection never starves heartbeats arriving
+// on another — that separation is what makes driver-side liveness
+// tracking meaningful.
 //
 // Task handlers are looked up in a process-global TaskRegistry by name:
 // C++ closures cannot cross a process boundary, so the driver names a
 // handler compiled into the worker binary and ships only data.  The
-// builtin handlers (shuffle_map / shuffle_reduce / pipeline_stage /
-// release_blocks / sleep_echo) cover the runtime's own needs; embedders
-// register more.
+// builtin handlers (pipeline_stage / release_blocks / sleep_echo) cover
+// the runtime's own needs; embedders register more.
 #pragma once
 
 #include <atomic>
@@ -27,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/buffer_pool.hpp"
 #include "net/channel.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -36,12 +34,10 @@
 
 namespace gpf::runtime {
 
-class WorkerServer;
-
-/// Thrown by task handlers when a shuffle input block cannot be obtained
-/// (dead peer, missing key, or checksum mismatch on fetch); surfaces to
-/// the driver as kTaskError/kMissingBlock naming the map task so the
-/// driver can recompute it from lineage.
+/// Thrown when a shuffle block cannot be obtained or fails its checksum
+/// (a fetch from a dead or empty worker, or a pushed block corrupted in
+/// transit); a task handler's throw surfaces to the driver as
+/// kTaskError/kMissingBlock naming the map task.
 class MissingBlockError : public std::runtime_error {
  public:
   MissingBlockError(std::uint64_t map_task, const std::string& message)
@@ -54,15 +50,7 @@ class MissingBlockError : public std::runtime_error {
 
 /// What a task handler gets to work with.
 struct WorkerContext {
-  WorkerServer& server;
   BlockStore& blocks;
-  BufferPool& buffer_pool;
-
-  /// Fetches a block from the worker listening on `port` (loopback),
-  /// short-circuiting to the local store when it is this worker's own
-  /// port.  Throws MissingBlockError when the block cannot be obtained
-  /// or fails its checksum.
-  StoredBlock fetch_block(std::uint16_t port, const BlockId& id) const;
 };
 
 using TaskHandler = std::function<std::vector<std::uint8_t>(
@@ -70,10 +58,9 @@ using TaskHandler = std::function<std::vector<std::uint8_t>(
 
 /// Fetches one block from the worker listening on loopback `port` over a
 /// fresh channel and validates it against its shipped checksum — the
-/// wire path shared by worker-side reduce tasks (WorkerContext::
-/// fetch_block) and the driver-side distributed shuffle transport.
-/// Throws MissingBlockError when the peer is unreachable, lacks the
-/// block, or the bytes fail their checksum.
+/// read path of the driver-side distributed shuffle transport.  Throws
+/// MissingBlockError when the worker is unreachable, lacks the block,
+/// or the bytes fail their checksum.
 StoredBlock fetch_block_over_wire(std::uint16_t port, const BlockId& id,
                                   const net::ChannelConfig& config);
 
@@ -90,8 +77,8 @@ class TaskRegistry {
   std::map<std::string, TaskHandler> handlers_;
 };
 
-/// Registers the builtin shuffle_map / shuffle_reduce / pipeline_stage /
-/// release_blocks / sleep_echo handlers (idempotent).
+/// Registers the builtin pipeline_stage / release_blocks / sleep_echo
+/// handlers (idempotent).
 void register_builtin_tasks();
 
 struct WorkerConfig {
@@ -101,8 +88,6 @@ struct WorkerConfig {
   int poll_interval_ms = 200;
   /// Deadline for reading/writing one frame once transfer has started.
   int io_timeout_ms = 15000;
-  /// Deadline for fetching one block from a peer worker.
-  int peer_timeout_ms = 5000;
   net::FrameLimits limits;
 };
 
@@ -116,9 +101,7 @@ class WorkerServer {
 
   std::uint16_t port() const { return listener_.port(); }
   int worker_id() const { return config_.worker_id; }
-  const WorkerConfig& config() const { return config_; }
   BlockStore& blocks() { return blocks_; }
-  BufferPool& buffer_pool() { return buffer_pool_; }
   std::uint64_t tasks_executed() const { return tasks_executed_.load(); }
 
   /// Accept loop; returns after request_stop() (or a kShutdown frame).
@@ -133,7 +116,6 @@ class WorkerServer {
   WorkerConfig config_;
   net::Listener listener_;
   BlockStore blocks_;
-  BufferPool buffer_pool_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> tasks_executed_{0};
   std::mutex threads_mu_;

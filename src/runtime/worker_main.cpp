@@ -6,9 +6,11 @@
 // "GPF_WORKER_READY port=<bound port>" on stdout (the driver's spawn
 // handshake), then serves until a kShutdown frame arrives.  With
 // --trace-out, the worker's task spans are exported as Chrome trace JSON
-// on exit.
+// on exit.  A malformed --port or --id (empty, trailing junk, out of
+// range) exits with status 2, like an unknown flag.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -24,6 +26,15 @@ bool parse_flag(const char* arg, const char* name, std::string& value) {
   return true;
 }
 
+/// Parses all of `value` as a base-10 integer of type T; false on an
+/// empty value, trailing junk, or a value out of T's range.
+template <typename T>
+bool parse_whole(const std::string& value, T& out) {
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -32,9 +43,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (parse_flag(argv[i], "--port", value)) {
-      config.port = static_cast<std::uint16_t>(std::atoi(value.c_str()));
+      if (!parse_whole(value, config.port)) {
+        std::fprintf(stderr, "gpf_worker: bad port '%s' (want 0-65535)\n",
+                     value.c_str());
+        return 2;
+      }
     } else if (parse_flag(argv[i], "--id", value)) {
-      config.worker_id = std::atoi(value.c_str());
+      if (!parse_whole(value, config.worker_id)) {
+        std::fprintf(stderr, "gpf_worker: bad worker id '%s'\n",
+                     value.c_str());
+        return 2;
+      }
     } else if (parse_flag(argv[i], "--trace-out", value)) {
       trace_out = value;
     } else {

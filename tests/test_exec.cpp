@@ -293,6 +293,16 @@ TEST_F(BackendFixture, DistributedBackendBitIdentical) {
   EXPECT_GT(stats.blocks_put, 0u);
   EXPECT_GT(stats.bytes_fetched, 0u);
   EXPECT_EQ(stats.lineage_recoveries, 0u);  // no chaos in this variant
+
+  // The per-Process report attributes all the transport traffic.
+  std::uint64_t put = 0;
+  std::uint64_t fetched = 0;
+  for (const auto& t : r.report.timings) {
+    put += t.backend.bytes_put;
+    fetched += t.backend.bytes_fetched;
+  }
+  EXPECT_EQ(put, stats.bytes_put);
+  EXPECT_EQ(fetched, stats.bytes_fetched);
 }
 
 TEST_F(BackendFixture, DistributedBackendSurvivesWorkerSigkillMidStage) {

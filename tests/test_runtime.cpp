@@ -2,33 +2,47 @@
 // multi-process distributed runtime over loopback.
 //
 // The loopback tests spawn actual gpf_worker processes (GPF_WORKER_BIN is
-// injected by CMake), run a socket shuffle through them, and compare the
-// result bit for bit against the single-process engine — including while a
-// worker is SIGKILLed mid-stage.  Recovery must flow through the SAME
-// fault-tolerant stage executor the in-process engine uses: a dead worker
-// surfaces as WorkerLost (retried on another worker) or as a missing block
-// (recomputed from lineage), never as a second recovery mechanism.
+// injected by CMake).  Shuffles run as a codec-attached Dataset::shuffle
+// on an exec::DistributedBackend — the path every distributed pipeline
+// takes — and are compared bit for bit against the in-process backend,
+// including while a worker is SIGKILLed mid-stage.  Each asserts that
+// blocks really went through the worker transport.  Recovery must flow
+// through the SAME fault-tolerant stage executor the in-process engine
+// uses: a failed push surfaces as WorkerLost (the map attempt is retried
+// on another worker), and a block lost with its owner is re-pushed from
+// the driver's lineage cache — never a second recovery mechanism.
 //
 // The framing fuzz runs under GPF_FUZZ_SEED (swept by CI alongside the
 // parser fuzz); decode_frame must reject arbitrary garbage with a typed
 // FrameError, never crash or mis-parse.
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "core/backend.hpp"
+#include "core/pipeline.hpp"
 #include "engine/dataset.hpp"
 #include "engine/fault_injector.hpp"
+#include "exec/distributed_backend.hpp"
+#include "exec/inprocess_backend.hpp"
+#include "formats/fasta.hpp"
 #include "net/channel.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "runtime/block_store.hpp"
-#include "runtime/distributed.hpp"
 #include "runtime/worker.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -377,146 +391,203 @@ WorkerPoolConfig pool_config() {
   return cfg;
 }
 
-/// Deterministic 8-byte records (the key_u64 partitioner's native shape).
-std::vector<RecordPartition> make_inputs(std::size_t n_parts,
-                                         std::size_t records_per_part,
-                                         std::uint64_t seed) {
+using U64Partitions = std::vector<std::vector<std::uint64_t>>;
+
+/// Deterministic u64 records; each record is its own partitioning key.
+U64Partitions make_inputs(std::size_t n_parts, std::size_t records_per_part,
+                          std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<RecordPartition> inputs(n_parts);
+  U64Partitions inputs(n_parts);
   for (auto& part : inputs) {
-    std::vector<std::uint64_t> xs(records_per_part);
-    for (auto& x : xs) x = rng.next();
-    part = u64_records(xs);
+    part.resize(records_per_part);
+    for (auto& x : part) x = rng.next();
   }
   return inputs;
 }
 
-/// The single-process engine's answer for the same shuffle: the loopback
-/// runtime must match this bit for bit.
-std::vector<RecordPartition> single_process_shuffle(
-    const std::vector<RecordPartition>& inputs, std::size_t num_out) {
-  engine::Engine eng;
-  auto ds = eng.make_dataset(inputs);
-  auto shuffled = ds.shuffle("ref.shuffle", num_out,
-                             [](const std::vector<std::uint8_t>& rec) {
-                               std::uint64_t key = 0;
-                               std::memcpy(&key, rec.data(), 8);
-                               return key;
-                             });
-  return shuffled.partitions();
+/// Plain 8-byte codec.  A shuffle goes through the engine's transport
+/// only when its dataset carries a codec.
+engine::ShuffleCodec<std::uint64_t> u64_codec() {
+  engine::ShuffleCodec<std::uint64_t> c;
+  c.encode = [](std::span<const std::uint64_t> xs) {
+    std::vector<std::uint8_t> out(xs.size() * 8);
+    if (!out.empty()) std::memcpy(out.data(), xs.data(), out.size());
+    return out;
+  };
+  c.decode = [](std::span<const std::uint8_t> bytes) {
+    std::vector<std::uint64_t> out(bytes.size() / 8);
+    if (!out.empty()) std::memcpy(out.data(), bytes.data(), out.size() * 8);
+    return out;
+  };
+  return c;
+}
+
+/// Runs `body` as the one Process of a pipeline on `backend`: backends
+/// attach their shuffle transport only around a plan.
+void run_as_process(core::ExecutionBackend& backend,
+                    std::function<void(engine::Engine&)> body) {
+  class BodyProcess final : public core::Process {
+   public:
+    explicit BodyProcess(std::function<void(engine::Engine&)> body)
+        : Process("loopback", {}, {}), body_(std::move(body)) {}
+
+   private:
+    void run(core::PipelineContext& ctx) override { body_(ctx.engine()); }
+    std::function<void(engine::Engine&)> body_;
+  };
+  Reference reference;
+  core::Pipeline pipeline("loopback", backend, reference);
+  pipeline.add_process(std::make_unique<BodyProcess>(std::move(body)));
+  pipeline.run();
+}
+
+/// A codec-attached Dataset::shuffle of `inputs`, keyed by record value.
+U64Partitions shuffle_on(core::ExecutionBackend& backend,
+                         const std::string& stage, const U64Partitions& inputs,
+                         std::size_t num_out) {
+  U64Partitions out;
+  run_as_process(backend, [&](engine::Engine& eng) {
+    out = eng.make_dataset(inputs)
+              .with_codec(u64_codec())
+              .shuffle(stage, num_out, [](std::uint64_t x) { return x; })
+              .partitions();
+  });
+  return out;
+}
+
+/// The in-process answer for the same shuffle: the distributed backend
+/// must match it bit for bit.
+U64Partitions in_process_shuffle(const U64Partitions& inputs,
+                                 std::size_t num_out) {
+  exec::InProcessBackend backend({.worker_threads = 2});
+  return shuffle_on(backend, "ref.shuffle", inputs, num_out);
+}
+
+exec::DistributedBackendOptions backend_options(int workers,
+                                                std::size_t threads = 4) {
+  exec::DistributedBackendOptions options;
+  options.engine = {.worker_threads = threads};
+  options.workers = workers;
+  options.worker_binary = GPF_WORKER_BIN;
+  return options;
 }
 
 TEST(Loopback, ShuffleMatchesSingleProcessBitForBit) {
   const auto inputs = make_inputs(4, 200, 1234);
   const std::size_t num_out = 5;
-  const auto expected = single_process_shuffle(inputs, num_out);
+  const auto expected = in_process_shuffle(inputs, num_out);
 
-  WorkerPool pool(pool_config());
-  pool.spawn_local(3);
-  engine::Engine eng;
-  DistributedShuffleOptions opt;
-  opt.partitioner = "key_u64";
-  const auto got =
-      distributed_shuffle(eng, pool, "dist.shuffle", inputs, num_out, opt);
+  exec::DistributedBackend backend(backend_options(3));
+  const auto got = shuffle_on(backend, "dist.shuffle", inputs, num_out);
 
   EXPECT_EQ(got, expected);
-  ASSERT_EQ(eng.metrics().stage_count(), 1u);
-  const auto& stage = eng.metrics().stages().back();
+  EXPECT_GT(backend.transport_stats().blocks_put, 0u);
+  ASSERT_EQ(backend.engine().metrics().stage_count(), 1u);
+  const auto& stage = backend.engine().metrics().stages().back();
   EXPECT_TRUE(stage.wide);
   EXPECT_GT(stage.shuffle_write_bytes, 0u);
   EXPECT_EQ(stage.shuffle_write_bytes, stage.shuffle_read_bytes);
-  pool.shutdown_all();
 }
 
 TEST(Loopback, ShuffleReleasesWorkerBlocksOnSuccess) {
-  // Retention regression, end to end: after a successful shuffle the
-  // driver broadcasts release_blocks, so every worker's store must be
-  // back to zero bytes — completed jobs stop pinning worker memory.
+  // Retention regression, end to end: when a shuffle ends the transport
+  // broadcasts release_blocks, so every worker's store must be back to
+  // zero bytes — completed jobs stop pinning worker memory.
   const auto inputs = make_inputs(4, 64, 99);
-  WorkerPool pool(pool_config());
-  pool.spawn_local(2);
-  engine::Engine eng;
-  DistributedShuffleOptions opt;
-  opt.partitioner = "key_u64";
-  distributed_shuffle(eng, pool, "dist.release", inputs, 3, opt);
+  exec::DistributedBackend backend(backend_options(2));
+  shuffle_on(backend, "dist.release", inputs, 3);
+  EXPECT_GT(backend.transport_stats().blocks_put, 0u);
 
+  WorkerPool& pool = backend.worker_pool();
   TaskRequest req;
   req.kind = "release_blocks";
-  req.stage = "dist.release";
+  req.stage = "probe";
   ByteWriter payload;
-  payload.str("dist.release");
+  payload.str("probe");
   req.payload = payload.take();
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (!pool.alive(static_cast<int>(i))) continue;
     auto [w, frame] = pool.dispatch_to(static_cast<int>(i), req);
     ASSERT_EQ(frame.type, static_cast<std::uint32_t>(kTaskOk));
     ByteReader r(as_span(frame.payload));
-    EXPECT_EQ(r.u64(), 0u) << "driver left blocks behind on worker " << i;
+    r.u64();  // bytes released under the probe's own (empty) namespace
     EXPECT_EQ(r.u64(), 0u) << "worker " << i << " still pins bytes";
   }
+}
+
+TEST(Loopback, SigkillMidTaskSurfacesAsWorkerLost) {
+  WorkerPool pool(pool_config());
+  pool.spawn_local(2);
+  TaskRequest req;
+  req.kind = "sleep_echo";
+  req.stage = "chaos";
+  req.payload = sleep_echo_payload(300, "x");
+
+  // Kill the process directly, ~50 ms into a 300 ms task: the pool learns
+  // of the death only through the dispatch's broken connection.
+  const pid_t victim = pool.info(1).pid;
+  std::thread killer([victim] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::kill(victim, SIGKILL);
+  });
+  EXPECT_THROW(pool.dispatch_to(1, req), WorkerLost);
+  killer.join();
+  EXPECT_FALSE(pool.alive(1));
+  EXPECT_EQ(pool.alive_count(), 1u);
   pool.shutdown_all();
 }
 
 TEST(Loopback, SigkillMidMapStageRecovers) {
   const auto inputs = make_inputs(6, 64, 77);
   const std::size_t num_out = 4;
-  const auto expected = single_process_shuffle(inputs, num_out);
+  const auto expected = in_process_shuffle(inputs, num_out);
 
-  WorkerPool pool(pool_config());
-  pool.spawn_local(3);
-  // One driver thread per map task: every dispatch must be in flight when
-  // the kill lands, regardless of the host's core count (driver threads
-  // just block in socket reads while the workers sleep).
-  engine::Engine eng(engine::EngineConfig{.worker_threads = 6});
-  DistributedShuffleOptions opt;
-  opt.partitioner = "key_u64";
-  // Every map task sleeps 80 ms on the worker; the kill lands at ~40 ms,
-  // guaranteed mid-map, so in-flight dispatches to the victim fail with
-  // WorkerLost and the executor reruns them on the survivors.
-  opt.map_delay_ms = 80;
-
-  std::thread killer([&pool] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    pool.kill_worker(1, SIGKILL);
+  // One driver thread per map task, so pushes are in flight when the
+  // kill lands.  The first push's owner dies as soon as a push lands on
+  // another worker: pushes in flight to it fail as WorkerLost and retry
+  // on a survivor, and its finished blocks are repaired from lineage.
+  exec::DistributedBackend backend(backend_options(3, 6));
+  std::atomic<int> first_owner{-1};
+  std::atomic<bool> killed{false};
+  backend.set_push_hook([&](std::size_t, int worker) {
+    int expected_owner = -1;
+    if (first_owner.compare_exchange_strong(expected_owner, worker)) return;
+    if (expected_owner != worker && !killed.exchange(true)) {
+      backend.worker_pool().kill_worker(expected_owner, SIGKILL);
+    }
   });
-  const auto got =
-      distributed_shuffle(eng, pool, "dist.chaos", inputs, num_out, opt);
-  killer.join();
+  const auto got = shuffle_on(backend, "dist.chaos", inputs, num_out);
 
+  EXPECT_TRUE(killed.load());
   EXPECT_EQ(got, expected);
-  EXPECT_EQ(pool.alive_count(), 2u);
-  const auto& stage = eng.metrics().stages().back();
-  EXPECT_FALSE(stage.failed);
-  EXPECT_GE(stage.failed_attempts + stage.task_retries, 1u);
-  pool.shutdown_all();
+  EXPECT_EQ(backend.worker_pool().alive_count(), 2u);
+  EXPECT_GT(backend.transport_stats().blocks_put, 0u);
+  EXPECT_GT(backend.transport_stats().lineage_recoveries, 0u);
+  EXPECT_FALSE(backend.engine().metrics().stages().back().failed);
 }
 
 TEST(Loopback, LostBlocksRecomputeFromLineage) {
   const auto inputs = make_inputs(5, 48, 9001);
   const std::size_t num_out = 3;
-  const auto expected = single_process_shuffle(inputs, num_out);
+  const auto expected = in_process_shuffle(inputs, num_out);
 
-  WorkerPool pool(pool_config());
-  pool.spawn_local(3);
-  engine::Engine eng;
-  DistributedShuffleOptions opt;
-  opt.partitioner = "key_u64";
-  // Kill a worker AFTER its map blocks are committed and before any
-  // reduce dispatch: its blocks are gone, so reduce tasks hit
-  // kMissingBlock and the driver recomputes the dead worker's map tasks
-  // from the driver-held inputs (lineage), then retries the reduce.
-  opt.on_map_complete = [&pool] { pool.kill_worker(0, SIGKILL); };
-
-  const auto got =
-      distributed_shuffle(eng, pool, "dist.lineage", inputs, num_out, opt);
+  // Kill the owner of the last map push, once every map output is in
+  // place: its blocks are gone, so the reduce side re-pushes them from
+  // the driver's lineage cache to a survivor and fetches from there.
+  exec::DistributedBackend backend(backend_options(3));
+  std::atomic<std::size_t> pushes{0};
+  backend.set_push_hook([&](std::size_t, int worker) {
+    if (pushes.fetch_add(1) + 1 == inputs.size()) {
+      backend.worker_pool().kill_worker(worker, SIGKILL);
+    }
+  });
+  const auto got = shuffle_on(backend, "dist.lineage", inputs, num_out);
 
   EXPECT_EQ(got, expected);
-  EXPECT_EQ(pool.alive_count(), 2u);
-  const auto& stage = eng.metrics().stages().back();
-  EXPECT_FALSE(stage.failed);
-  // At least one reduce attempt died on the missing block and retried.
-  EXPECT_GE(stage.task_retries, 1u);
-  pool.shutdown_all();
+  EXPECT_EQ(backend.worker_pool().alive_count(), 2u);
+  EXPECT_GT(backend.transport_stats().blocks_put, 0u);
+  EXPECT_GT(backend.transport_stats().lineage_recoveries, 0u);
+  EXPECT_FALSE(backend.engine().metrics().stages().back().failed);
 }
 
 TEST(Loopback, HeartbeatDetectsSilentDeath) {
@@ -540,52 +611,55 @@ TEST(Loopback, HeartbeatDetectsSilentDeath) {
 TEST(Loopback, InjectedStragglerTriggersSpeculation) {
   const auto inputs = make_inputs(4, 32, 555);
   const std::size_t num_out = 2;
-  const auto expected = single_process_shuffle(inputs, num_out);
+  const auto expected = in_process_shuffle(inputs, num_out);
 
-  WorkerPool pool(pool_config());
-  pool.spawn_local(2);
-  engine::Engine eng;
   // Driver-side straggler on map task 0, above the 20 ms speculation
-  // threshold: the stage executor launches a speculative copy on another
-  // worker and the first finisher wins — same machinery, real processes.
-  auto injector = std::make_shared<engine::FaultInjector>(
+  // threshold: the stage executor launches a speculative copy, which
+  // pushes its blocks to a worker too, and the first finisher wins.
+  exec::DistributedBackend backend(backend_options(2));
+  backend.engine().set_fault_injector(std::make_shared<engine::FaultInjector>(
       7, std::vector<engine::FaultRule>{
-             engine::FaultRule::delay_task("dist.spec", 0, 60.0)});
-  eng.set_fault_injector(injector);
-
-  DistributedShuffleOptions opt;
-  opt.partitioner = "key_u64";
-  const auto got =
-      distributed_shuffle(eng, pool, "dist.spec", inputs, num_out, opt);
+             engine::FaultRule::delay_task("dist.spec", 0, 60.0)}));
+  const auto got = shuffle_on(backend, "dist.spec", inputs, num_out);
 
   EXPECT_EQ(got, expected);
-  const auto& stage = eng.metrics().stages().back();
+  EXPECT_GT(backend.transport_stats().blocks_put, 0u);
+  const auto& stage = backend.engine().metrics().stages().back();
   EXPECT_EQ(stage.speculative_launches, 1u);
   EXPECT_GE(stage.injected_faults, 1u);
-  pool.shutdown_all();
 }
 
 TEST(Loopback, MissingBlockSurfacesAsTypedError) {
   WorkerPool pool(pool_config());
   pool.spawn_local(2);
 
-  // Ask a worker to reduce against a block nobody ever produced.
+  // A fetch of a block nobody pushed.
+  try {
+    fetch_block_over_wire(pool.info(0).port, BlockId{"ghost", 4, 0}, {});
+    FAIL() << "fetch of a missing block succeeded";
+  } catch (const MissingBlockError& e) {
+    EXPECT_EQ(e.map_task(), 4u);
+  }
+
+  // A push whose checksum does not match its bytes is refused on arrival.
+  const std::vector<std::uint8_t> block = bytes_of("block bytes");
   ByteWriter w;
-  w.uvarint(0);  // reduce partition
-  w.uvarint(1);  // one input block
-  w.u16(pool.info(0).port);
-  w.u64(0xdeadbeef);
-  w.uvarint(3);
+  w.uvarint(1);  // one block
+  w.u64(engine::shuffle_block_checksum(as_span(block)) ^ 1);
+  w.uvarint(1);  // records
+  w.uvarint(block.size());
+  w.raw(as_span(block));
   TaskRequest req;
-  req.kind = "shuffle_reduce";
+  req.kind = "pipeline_stage";
   req.stage = "ghost";
+  req.task = 7;
   req.payload = w.take();
   try {
     pool.run_task(req);
-    FAIL() << "reduce over a missing block succeeded";
+    FAIL() << "push of a corrupted block succeeded";
   } catch (const RemoteTaskError& e) {
     EXPECT_EQ(e.error().code, TaskErrorCode::kMissingBlock);
-    EXPECT_EQ(e.error().detail, 0u);
+    EXPECT_EQ(e.error().detail, 7u);
   }
   pool.shutdown_all();
 }
@@ -600,6 +674,54 @@ TEST(Loopback, AllWorkersDeadIsTerminal) {
   req.payload = sleep_echo_payload(0, "x");
   EXPECT_THROW(pool.run_task(req), NoLiveWorkers);
   pool.shutdown_all();
+}
+
+/// Runs gpf_worker with one argument and returns its exit status and
+/// combined stdout/stderr.  A worker that starts serving anyway is
+/// killed once it prints its ready line (or after 5 s), so a lenient
+/// parser fails the test instead of hanging it.
+std::pair<int, std::string> run_worker_with(const std::string& arg) {
+  int fds[2];
+  if (::pipe(fds) != 0) throw std::runtime_error("pipe failed");
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::dup2(fds[1], STDERR_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::execl(GPF_WORKER_BIN, GPF_WORKER_BIN, arg.c_str(),
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  std::string out;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fds[0], POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    char buf[256];
+    const ssize_t n = ::read(fds[0], buf, sizeof(buf));
+    if (n <= 0) break;  // EOF: the worker exited
+    out.append(buf, static_cast<std::size_t>(n));
+    if (out.find("GPF_WORKER_READY") != std::string::npos) break;
+  }
+  ::close(fds[0]);
+  ::kill(pid, SIGKILL);  // no-op unless it is still serving
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(Loopback, WorkerRejectsMalformedArguments) {
+  for (const std::string arg :
+       {"--port=70000", "--port=abc", "--port=", "--port=80x", "--port=-1",
+        "--id=", "--id=1.5", "--id=99999999999"}) {
+    const auto [status, out] = run_worker_with(arg);
+    EXPECT_EQ(status, 2) << arg << ": " << out;
+    EXPECT_EQ(out.find("GPF_WORKER_READY"), std::string::npos) << arg;
+    EXPECT_NE(out.find("gpf_worker: bad"), std::string::npos) << arg;
+  }
 }
 
 }  // namespace
