@@ -20,6 +20,7 @@
 #include "align/bwamem.hpp"
 #include "align/fm_index.hpp"
 #include "align/smith_waterman.hpp"
+#include "align/suffix_array.hpp"
 #include "caller/pairhmm.hpp"
 #include "cleaner/markdup.hpp"
 #include "common/rng.hpp"
@@ -516,6 +517,58 @@ KernelReport report_pair_hmm(const simd::Level fast) {
   return r;
 }
 
+KernelReport report_fm_search() {
+  // The aligner's seeds: 19-mers every 11 bases of both strands of 100-base
+  // reads, a quarter of the reads carrying one substitution.  The baseline
+  // is the test oracle, a binary search of the suffix array.
+  Rng rng(999);
+  std::vector<std::string> seeds;
+  for (auto& read : bench_reads(256)) {
+    std::string& s = read.sequence;
+    if (rng.below(4) == 0) s[rng.below(s.size())] = "ACGT"[rng.below(4)];
+    for (const std::string& strand : {s, simdata::reverse_complement(s)}) {
+      for (std::size_t at = 0; at + 19 <= strand.size(); at += 11) {
+        seeds.push_back(strand.substr(at, 19));
+      }
+    }
+  }
+  const auto& index = bench_index();
+  const std::vector<std::uint8_t> text =
+      align::detail::index_text(bench_reference());
+  const std::vector<std::uint32_t> sa = align::build_suffix_array(text);
+
+  std::vector<align::SaInterval> want(seeds.size());
+  std::vector<align::SaInterval> got(seeds.size());
+  auto run_ref = [&] {
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      want[i] = align::detail::sa_interval_reference(text, sa, seeds[i]);
+    }
+    benchmark::DoNotOptimize(want.data());
+  };
+  auto run_fast = [&] {
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      got[i] = index.search(seeds[i]);
+    }
+    benchmark::DoNotOptimize(got.data());
+  };
+  KernelReport r{"fm_search", "seeds/s"};
+  r.baseline = static_cast<double>(seeds.size()) / seconds_per_call(run_ref);
+  r.optimized = static_cast<double>(seeds.size()) / seconds_per_call(run_fast);
+
+  // search() reports every miss as {0, 0}; the oracle gives the empty
+  // interval at the insertion row.
+  run_ref();
+  run_fast();
+  r.outputs_match = true;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    const align::SaInterval miss{};
+    if (!(got[i] == (want[i].empty() ? miss : want[i]))) {
+      r.outputs_match = false;
+    }
+  }
+  return r;
+}
+
 // --- text-parsing kernels (block-parallel front-end) -----------------------
 
 /// Synthetic FASTQ with varied read lengths (crossing 64-byte block and
@@ -684,6 +737,7 @@ int run_json_harness(const std::string& path) {
   reports.push_back(report_sw("sw_banded_global", /*glocal_mode=*/false));
   reports.push_back(report_sw("sw_glocal", /*glocal_mode=*/true));
   reports.push_back(report_pair_hmm(fast));
+  reports.push_back(report_fm_search());
   reports.push_back(report_fastq_scan(fast));
   reports.push_back(report_sam_fields(fast));
   reports.push_back(report_vcf_records(fast));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace gpf::align {
 namespace {
@@ -96,32 +95,41 @@ AlignmentCandidate ReadAligner::extend_cluster(const std::string& seq,
 
 std::vector<AlignmentCandidate> ReadAligner::candidates(
     const std::string& seq) const {
-  std::vector<SeedHit> hits;
+  return candidates(seq, revcomp(seq));
+}
+
+std::vector<AlignmentCandidate> ReadAligner::candidates(
+    const std::string& seq, const std::string& rc) const {
+  thread_local std::vector<SeedHit> hits;
+  hits.clear();
   collect_seeds(seq, /*reverse=*/false, hits);
-  const std::string rc = revcomp(seq);
   collect_seeds(rc, /*reverse=*/true, hits);
 
   // Cluster hits by (strand, contig, coarse diagonal) and count votes.
+  // Sorting (key, hit index) pairs groups each cluster in key order with
+  // its first hit leading, which is the cluster's representative.
   struct ClusterKey {
     bool reverse;
     std::int32_t contig_id;
     std::int64_t diag_bucket;
-    bool operator<(const ClusterKey& o) const {
-      if (reverse != o.reverse) return reverse < o.reverse;
-      if (contig_id != o.contig_id) return contig_id < o.contig_id;
-      return diag_bucket < o.diag_bucket;
-    }
+    auto operator<=>(const ClusterKey&) const = default;
   };
-  std::map<ClusterKey, std::pair<int, SeedHit>> clusters;
-  for (const auto& h : hits) {
-    const ClusterKey key{h.reverse, h.contig_id, h.diag / 8};
-    auto [it, inserted] = clusters.emplace(key, std::make_pair(0, h));
-    ++it->second.first;
+  thread_local std::vector<std::pair<ClusterKey, std::uint32_t>> keyed;
+  keyed.clear();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    const SeedHit& h = hits[i];
+    keyed.emplace_back(ClusterKey{h.reverse, h.contig_id, h.diag / 8},
+                       static_cast<std::uint32_t>(i));
   }
+  std::sort(keyed.begin(), keyed.end());
   // Extend the most-voted clusters.
   std::vector<std::pair<int, SeedHit>> ranked;
-  ranked.reserve(clusters.size());
-  for (const auto& [key, v] : clusters) ranked.push_back(v);
+  for (std::size_t i = 0; i < keyed.size();) {
+    std::size_t end = i + 1;
+    while (end < keyed.size() && keyed[end].first == keyed[i].first) ++end;
+    ranked.emplace_back(static_cast<int>(end - i), hits[keyed[i].second]);
+    i = end;
+  }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) {
                      return a.first > b.first;
@@ -162,6 +170,7 @@ std::uint8_t ReadAligner::mapq_from_scores(std::int32_t best,
 }
 
 SamRecord ReadAligner::to_record(const FastqRecord& read,
+                                 const std::string& rc,
                                  const AlignmentCandidate& cand) const {
   SamRecord rec;
   rec.qname = read.name;
@@ -176,7 +185,7 @@ SamRecord ReadAligner::to_record(const FastqRecord& read,
   rec.cigar = cand.cigar;
   if (cand.reverse) {
     rec.flag |= SamFlags::kReverse;
-    rec.sequence = revcomp(read.sequence);
+    rec.sequence = rc;
     rec.quality.assign(read.quality.rbegin(), read.quality.rend());
   } else {
     rec.sequence = read.sequence;
@@ -186,12 +195,13 @@ SamRecord ReadAligner::to_record(const FastqRecord& read,
 }
 
 SamRecord ReadAligner::align_single(const FastqRecord& read) const {
-  const auto cands = candidates(read.sequence);
+  const std::string rc = revcomp(read.sequence);
+  const auto cands = candidates(read.sequence, rc);
   if (cands.empty()) {
     AlignmentCandidate none;
-    return to_record(read, none);
+    return to_record(read, rc, none);
   }
-  SamRecord rec = to_record(read, cands[0]);
+  SamRecord rec = to_record(read, rc, cands[0]);
   const std::int32_t second = cands.size() > 1 ? cands[1].score : 0;
   rec.mapq = mapq_from_scores(
       cands[0].score, second,
@@ -201,6 +211,7 @@ SamRecord ReadAligner::align_single(const FastqRecord& read) const {
 }
 
 AlignmentCandidate ReadAligner::rescue(const std::string& seq,
+                                       const std::string& rc,
                                        std::int32_t contig_id,
                                        std::int64_t anchor_pos,
                                        bool reverse) const {
@@ -211,7 +222,7 @@ AlignmentCandidate ReadAligner::rescue(const std::string& seq,
   const std::string_view window =
       ref.slice(contig_id, start, 2 * window_half);
   if (window.size() < seq.size()) return {};
-  const std::string oriented = reverse ? revcomp(seq) : seq;
+  const std::string& oriented = reverse ? rc : seq;
   const AlignmentResult r =
       glocal(oriented, window, options_.scoring, options_.band);
   if (r.cigar.empty() || r.score < options_.min_score) return {};
@@ -237,8 +248,10 @@ AlignmentCandidate ReadAligner::rescue(const std::string& seq,
 
 std::pair<SamRecord, SamRecord> ReadAligner::align_pair(
     const FastqPair& pair) const {
-  auto cands1 = candidates(pair.first.sequence);
-  auto cands2 = candidates(pair.second.sequence);
+  const std::string rc1 = revcomp(pair.first.sequence);
+  const std::string rc2 = revcomp(pair.second.sequence);
+  auto cands1 = candidates(pair.first.sequence, rc1);
+  auto cands2 = candidates(pair.second.sequence, rc2);
 
   // Score all cross-combinations with an insert-size prior; proper pairs
   // are forward/reverse on the same contig within the insert window.
@@ -278,14 +291,16 @@ std::pair<SamRecord, SamRecord> ReadAligner::align_pair(
     // window for the other.
     if (c1.contig_id >= 0 && c2.contig_id < 0) {
       const AlignmentCandidate r =
-          rescue(pair.second.sequence, c1.contig_id, c1.pos, !c1.reverse);
+          rescue(pair.second.sequence, rc2, c1.contig_id, c1.pos,
+                 !c1.reverse);
       if (r.contig_id >= 0) {
         c2 = r;
         proper = true;
       }
     } else if (c2.contig_id >= 0 && c1.contig_id < 0) {
       const AlignmentCandidate r =
-          rescue(pair.first.sequence, c2.contig_id, c2.pos, !c2.reverse);
+          rescue(pair.first.sequence, rc1, c2.contig_id, c2.pos,
+                 !c2.reverse);
       if (r.contig_id >= 0) {
         c1 = r;
         proper = true;
@@ -293,8 +308,8 @@ std::pair<SamRecord, SamRecord> ReadAligner::align_pair(
     }
   }
 
-  SamRecord r1 = to_record(pair.first, c1);
-  SamRecord r2 = to_record(pair.second, c2);
+  SamRecord r1 = to_record(pair.first, rc1, c1);
+  SamRecord r2 = to_record(pair.second, rc2, c2);
   const auto perfect1 = static_cast<std::int32_t>(
       pair.first.sequence.size() * options_.scoring.match);
   const auto perfect2 = static_cast<std::int32_t>(

@@ -73,15 +73,21 @@ class ReadAligner {
     bool reverse;
   };
 
+  /// candidates() with the read's reverse complement already computed.
+  std::vector<AlignmentCandidate> candidates(const std::string& seq,
+                                             const std::string& rc) const;
   void collect_seeds(const std::string& seq, bool reverse,
                      std::vector<SeedHit>& hits) const;
   AlignmentCandidate extend_cluster(const std::string& seq,
                                     const SeedHit& anchor) const;
-  SamRecord to_record(const FastqRecord& read,
+  /// `rc` is the reverse complement of `read.sequence`.
+  SamRecord to_record(const FastqRecord& read, const std::string& rc,
                       const AlignmentCandidate& cand) const;
-  /// Tries to place `read` near `anchor_pos` on `contig` with direct SW.
-  AlignmentCandidate rescue(const std::string& seq, std::int32_t contig_id,
-                            std::int64_t anchor_pos, bool reverse) const;
+  /// Tries to place `seq` (reverse complement `rc`) near `anchor_pos` on
+  /// `contig` with direct SW.
+  AlignmentCandidate rescue(const std::string& seq, const std::string& rc,
+                            std::int32_t contig_id, std::int64_t anchor_pos,
+                            bool reverse) const;
   static std::uint8_t mapq_from_scores(std::int32_t best,
                                        std::int32_t second,
                                        std::int32_t max_possible);

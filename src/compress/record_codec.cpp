@@ -80,6 +80,23 @@ void batch_header(ByteWriter& w, Codec codec, std::uint64_t count) {
   w.uvarint(count);
 }
 
+/// Reads an element count for elements that each take at least one encoded
+/// byte, and throws std::out_of_range, as the reader does on truncated
+/// input, when the remaining bytes cannot hold that many.  Checked before
+/// any reserve(), so a hostile count cannot drive a huge allocation.
+std::uint64_t read_count(ByteReader& r) {
+  const std::uint64_t count = r.uvarint();
+  if (count > r.remaining()) {
+    throw std::out_of_range("record batch: count exceeds remaining bytes");
+  }
+  return count;
+}
+
+/// Returns the batch's record count.  Every record of every codec takes at
+/// least one byte after the header: a Java-like record opens with its
+/// object marker; a Kryo-like or GPF FASTQ record, and a SAM record's fixed
+/// fields, open with the name's length varint; a Kryo-like or GPF VCF
+/// record opens with the contig varint.
 std::uint64_t check_batch_header(ByteReader& r, Codec codec) {
   if (r.u32() != kBatchMagic) {
     throw std::invalid_argument("record batch: bad magic");
@@ -87,7 +104,7 @@ std::uint64_t check_batch_header(ByteReader& r, Codec codec) {
   if (r.u8() != static_cast<std::uint8_t>(codec)) {
     throw std::invalid_argument("record batch: codec mismatch");
   }
-  return r.uvarint();
+  return read_count(r);
 }
 
 // --- GPF FASTQ payload ----------------------------------------------------
@@ -393,7 +410,8 @@ SamRecord kryo_read_sam_record(ByteReader& r) {
   rec.contig_id = static_cast<std::int32_t>(r.svarint());
   rec.pos = r.svarint();
   rec.mapq = r.u8();
-  const std::size_t ncigar = r.uvarint();
+  // A CIGAR element is an op byte and a length varint.
+  const std::size_t ncigar = read_count(r);
   rec.cigar.reserve(ncigar);
   for (std::size_t i = 0; i < ncigar; ++i) {
     const auto op = static_cast<CigarOp>(r.u8());
@@ -433,7 +451,8 @@ SamRecord gpf_read_sam_fixed_fields(ByteReader& r) {
   rec.contig_id = static_cast<std::int32_t>(r.svarint());
   rec.pos = r.svarint();
   rec.mapq = r.u8();
-  const std::size_t ncigar = r.uvarint();
+  // A CIGAR element is an op byte and a length varint.
+  const std::size_t ncigar = read_count(r);
   rec.cigar.reserve(ncigar);
   for (std::size_t i = 0; i < ncigar; ++i) {
     const auto op = static_cast<CigarOp>(r.u8());

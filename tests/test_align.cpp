@@ -327,7 +327,7 @@ TEST(SmithWaterman, NegativeBandIsInvalidArgument) {
 // Inputs are drawn under GPF_FUZZ_SEED, which CI sweeps under ASan with
 // GPF_FORCE_SCALAR both off and on.
 
-std::uint64_t sw_fuzz_seed() {
+std::uint64_t fuzz_seed() {
   return engine::seed_from_env("GPF_FUZZ_SEED", 42);
 }
 
@@ -362,7 +362,7 @@ void expect_levels_match_reference(std::string_view query,
                                    std::string_view ref,
                                    const ScoringScheme& s, int band) {
   const std::string label =
-      "seed " + std::to_string(sw_fuzz_seed()) + " band " +
+      "seed " + std::to_string(fuzz_seed()) + " band " +
       std::to_string(band) + " scoring {" + std::to_string(s.match) + "," +
       std::to_string(s.mismatch) + "," + std::to_string(s.gap_open) + "," +
       std::to_string(s.gap_extend) + "," + std::to_string(s.n_score) +
@@ -428,7 +428,7 @@ ScoringScheme random_scoring(Rng& rng) {
 }
 
 TEST(SmithWatermanDifferential, EveryByteValue) {
-  Rng rng(sw_fuzz_seed());
+  Rng rng(fuzz_seed());
   std::string all_bytes(256, '\0');
   for (int b = 0; b < 256; ++b) all_bytes[b] = static_cast<char>(b);
   // Every byte value appears in both roles, against itself and against N.
@@ -454,7 +454,7 @@ TEST(SmithWatermanDifferential, EveryByteValue) {
 }
 
 TEST(SmithWatermanDifferential, RandomScoringSchemes) {
-  Rng rng(sw_fuzz_seed() + 1);
+  Rng rng(fuzz_seed() + 1);
   for (int trial = 0; trial < 200; ++trial) {
     ScoringScheme s = random_scoring(rng);
     if (trial % 4 == 0) {
@@ -471,7 +471,7 @@ TEST(SmithWatermanDifferential, RandomScoringSchemes) {
 }
 
 TEST(SmithWatermanDifferential, BandZeroAndBandsWiderThanInputs) {
-  Rng rng(sw_fuzz_seed() + 2);
+  Rng rng(fuzz_seed() + 2);
   for (int trial = 0; trial < 120; ++trial) {
     const std::string ref = random_seq(rng, 1 + rng.below(70), "ACGT");
     const std::string query =
@@ -487,7 +487,7 @@ TEST(SmithWatermanDifferential, BandZeroAndBandsWiderThanInputs) {
 }
 
 TEST(SmithWatermanDifferential, QueryLongerThanReference) {
-  Rng rng(sw_fuzz_seed() + 3);
+  Rng rng(fuzz_seed() + 3);
   for (int trial = 0; trial < 120; ++trial) {
     const std::string ref = random_seq(rng, 1 + rng.below(60), "ACGT");
     std::string query = ref;
@@ -505,7 +505,7 @@ TEST(SmithWatermanDifferential, QueryLongerThanReference) {
 }
 
 TEST(SmithWatermanDifferential, OneBaseInputs) {
-  Rng rng(sw_fuzz_seed() + 4);
+  Rng rng(fuzz_seed() + 4);
   const std::string_view alphabet = "ACNn";
   for (const char a : alphabet) {
     for (const char b : alphabet) {
@@ -529,7 +529,7 @@ TEST(SmithWatermanDifferential, OneBaseInputs) {
 TEST(SmithWatermanDifferential, RepeatRichTiedMaxima) {
   // Periodic sequences and homopolymers give many cells with the same best
   // local score; the kernel must pick the reference's row-major first one.
-  Rng rng(sw_fuzz_seed() + 5);
+  Rng rng(fuzz_seed() + 5);
   const std::string_view units[] = {"A", "AC", "ACG", "AAC", "ACGT"};
   for (int trial = 0; trial < 150; ++trial) {
     const std::string_view unit = units[rng.below(std::size(units))];
@@ -557,7 +557,7 @@ TEST(SmithWatermanDifferential, PipelineShapes) {
   // The callers' shapes: read extension (100 x 148, band 16), mate rescue
   // (100 x 1020, band 16), realignment (100 x 260, band 24) and haplotype
   // scoring (300 x 300 global, band 24).
-  Rng rng(sw_fuzz_seed() + 6);
+  Rng rng(fuzz_seed() + 6);
   const struct {
     std::size_t qlen, rlen;
     int band;
@@ -575,6 +575,240 @@ TEST(SmithWatermanDifferential, PipelineShapes) {
       }
       expect_levels_match_reference(query, ref, {}, shape.band);
     }
+  }
+}
+
+// --- FM-index differential wall --------------------------------------------
+//
+// search() and every stepwise extend() must return exactly the SA interval
+// that a binary search of the suffix array finds
+// (detail::sa_interval_reference, which never reads the occurrence blocks),
+// and locate() must agree with the suffix array on every row.  Inputs are
+// drawn under GPF_FUZZ_SEED; CI runs the wall with GPF_FORCE_SCALAR off and
+// on, which covers both popcount builds of search().
+
+/// A reference with its index and the oracle's inputs.  Not copyable: the
+/// index points at `ref`.
+struct FmOracle {
+  explicit FmOracle(Reference reference)
+      : ref(std::move(reference)),
+        text(detail::index_text(ref)),
+        sa(build_suffix_array(text)),
+        index(ref) {}
+  FmOracle(const FmOracle&) = delete;
+  FmOracle& operator=(const FmOracle&) = delete;
+
+  Reference ref;
+  std::vector<std::uint8_t> text;
+  std::vector<std::uint32_t> sa;
+  FmIndex index;
+};
+
+std::pair<std::uint32_t, std::uint32_t> lohi(SaInterval iv) {
+  return {iv.lo, iv.hi};
+}
+
+/// search() and the stepwise extend() chain for `pattern` against the
+/// oracle.
+void expect_search_matches_oracle(const FmOracle& o, std::string_view pattern,
+                                  const std::string& what) {
+  std::string label = "seed " + std::to_string(fuzz_seed());
+  label += " " + what + " pattern '" + printable(pattern) + "'";
+  const SaInterval want = detail::sa_interval_reference(o.text, o.sa, pattern);
+  // search() reports every miss as {0, 0}.
+  const SaInterval got = o.index.search(pattern);
+  EXPECT_EQ(lohi(got), lohi(want.empty() ? SaInterval{} : want)) << label;
+  SaInterval iv = o.index.whole();
+  for (std::size_t j = pattern.size(); j-- > 0;) {
+    iv = o.index.extend(iv, pattern[j]);
+    const SaInterval step =
+        detail::sa_interval_reference(o.text, o.sa, pattern.substr(j));
+    ASSERT_EQ(lohi(iv), lohi(step)) << label << " extend step at " << j;
+    if (iv.empty()) break;
+  }
+}
+
+/// locate() of every row against the suffix array.
+void expect_locate_matches_sa(const FmOracle& o) {
+  ASSERT_EQ(o.index.text_length(), o.text.size());
+  ASSERT_EQ(o.index.whole().lo, 0u);
+  ASSERT_EQ(o.index.whole().hi, o.text.size());
+  std::vector<std::uint64_t> starts;
+  std::uint64_t at = 0;
+  for (const auto& contig : o.ref.contigs()) {
+    starts.push_back(at);
+    at += contig.sequence.size() + 1;
+  }
+  for (std::uint32_t row = 0; row < o.sa.size(); ++row) {
+    const std::uint64_t p = o.sa[row];
+    const auto it = std::upper_bound(starts.begin(), starts.end(), p) - 1;
+    const auto cid = static_cast<std::int32_t>(it - starts.begin());
+    const auto offset = static_cast<std::int64_t>(p - *it);
+    const std::size_t len = o.ref.contig(cid).sequence.size();
+    const bool separator = offset == static_cast<std::int64_t>(len);
+    const RefPosition rp = o.index.locate(row);
+    ASSERT_EQ(rp.contig_id, separator ? -1 : cid) << "row " << row;
+    ASSERT_EQ(rp.offset, separator ? -1 : offset) << "row " << row;
+  }
+}
+
+/// Random contig bases: ACGT with homopolymer runs, N runs and lowercase
+/// (soft-masked) stretches mixed in.
+std::string fm_contig(Rng& rng, std::size_t len) {
+  std::string s = random_seq(rng, len, "ACGT");
+  for (std::size_t at = 0; at < len; at += 1 + rng.below(400)) {
+    const std::size_t run = std::min(len - at, 1 + rng.below(60));
+    switch (rng.below(4)) {
+      case 0:
+        std::fill_n(s.begin() + at, run, "ACGT"[rng.below(4)]);
+        break;
+      case 1:
+        std::fill_n(s.begin() + at, run, 'N');
+        break;
+      case 2:
+        for (std::size_t k = at; k < at + run; ++k) {
+          s[k] = "acgtn"[rng.below(5)];
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  return s;
+}
+
+/// A random reference whose indexed text (bases plus one separator per
+/// contig) is exactly `text_length` bytes over `contigs` contigs.
+Reference fm_reference(Rng& rng, std::size_t text_length,
+                       std::size_t contigs) {
+  std::size_t spare = text_length - 2 * contigs;  // every contig >= 1 base
+  std::vector<FastaContig> out;
+  for (std::size_t i = 0; i < contigs; ++i) {
+    const std::size_t extra = i + 1 == contigs ? spare : rng.below(spare + 1);
+    spare -= extra;
+    out.push_back({"c" + std::to_string(i), fm_contig(rng, 1 + extra)});
+  }
+  return Reference(std::move(out));
+}
+
+/// One query drawn from `ref`: a text slice (as is, mutated, with an N or
+/// lowercase byte, or with N read as A), a slice across a contig
+/// separator, or random bases.  Lengths 1-40.
+std::string fm_pattern(Rng& rng, const Reference& ref) {
+  const std::size_t len = 1 + rng.below(40);
+  const auto& contigs = ref.contigs();
+  const std::size_t cid = rng.below(contigs.size());
+  const std::string& seq = contigs[cid].sequence;
+  std::string p = seq.substr(rng.below(seq.size()), len);
+  switch (rng.below(6)) {
+    case 0:
+      return p;
+    case 1:
+      for (std::size_t k = 1 + rng.below(3); k > 0; --k) {
+        p[rng.below(p.size())] = "ACGT"[rng.below(4)];
+      }
+      return p;
+    case 2:
+      p[rng.below(p.size())] = "Nacgtn"[rng.below(6)];
+      return p;
+    case 3:
+      std::replace(p.begin(), p.end(), 'N', 'A');
+      return p;
+    case 4: {
+      // The tail of one contig, then the head of the next.
+      const std::string& next = contigs[(cid + 1) % contigs.size()].sequence;
+      const std::size_t tail = 1 + rng.below(std::min<std::size_t>(20, len));
+      return seq.substr(seq.size() - std::min(tail, seq.size())) +
+             next.substr(0, 1 + rng.below(20));
+    }
+    default:
+      return random_seq(rng, len, "ACGT");
+  }
+}
+
+void expect_index_matches_oracle(const FmOracle& o, Rng& rng, int patterns,
+                                 const std::string& what) {
+  expect_locate_matches_sa(o);
+  expect_search_matches_oracle(o, "", what);
+  for (const char* base : {"A", "C", "G", "T", "N", "a"}) {
+    expect_search_matches_oracle(o, base, what);
+  }
+  for (int i = 0; i < patterns; ++i) {
+    expect_search_matches_oracle(o, fm_pattern(rng, o.ref), what);
+  }
+}
+
+TEST(FmIndexDifferential, TextLengthsAroundBlockMultiples) {
+  Rng rng(fuzz_seed());
+  // 64k - 1, 64k and 64k + 1 rows, and the small lengths around one and
+  // two 64-row blocks.
+  const std::size_t lengths[] = {2, 63, 64, 65, 128, 65535, 65536, 65537};
+  for (const std::size_t n : lengths) {
+    const std::size_t most = std::min<std::size_t>(n / 2, 6);
+    const FmOracle o(fm_reference(rng, n, 1 + rng.below(most)));
+    expect_index_matches_oracle(o, rng, n > 1000 ? 600 : 100,
+                                "text length " + std::to_string(n));
+  }
+}
+
+TEST(FmIndexDifferential, RandomMultiContig) {
+  Rng rng(fuzz_seed() + 1);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t contigs = 1 + rng.below(12);
+    const std::size_t n = 2 * contigs + rng.below(6000);
+    const FmOracle o(fm_reference(rng, n, contigs));
+    expect_index_matches_oracle(o, rng, 300,
+                                "random reference " + std::to_string(trial));
+  }
+}
+
+TEST(FmIndexDifferential, OneBaseContigs) {
+  Rng rng(fuzz_seed() + 2);
+  std::vector<FastaContig> contigs;
+  for (int i = 0; i < 40; ++i) {
+    const std::string base(1, "ACGTN"[rng.below(5)]);
+    contigs.push_back({"b" + std::to_string(i), base});
+  }
+  contigs.push_back({"long", fm_contig(rng, 300)});
+  contigs.push_back({"last", "G"});
+  const FmOracle o{Reference(std::move(contigs))};
+  expect_index_matches_oracle(o, rng, 300, "one-base contigs");
+}
+
+TEST(FmIndexDifferential, HomopolymerAndNRuns) {
+  Rng rng(fuzz_seed() + 3);
+  std::string repeat;
+  for (int i = 0; i < 90; ++i) repeat += "ACGTT";
+  std::string gap(50, 'N');
+  gap += random_seq(rng, 100, "ACGT") + std::string(200, 'N');
+  std::vector<FastaContig> contigs = {
+      {"polyA", std::string(700, 'A')},
+      {"polyC", std::string(129, 'C')},
+      {"gap", gap},
+      {"repeat", repeat},
+      {"mixed", fm_contig(rng, 2000)},
+  };
+  const FmOracle o{Reference(std::move(contigs))};
+  expect_index_matches_oracle(o, rng, 400, "runs");
+  // Long runs probe intervals that shrink one row per step.
+  for (std::size_t len : {1, 2, 63, 64, 65, 128, 699, 700, 701}) {
+    expect_search_matches_oracle(o, std::string(len, 'A'), "polyA");
+  }
+  expect_search_matches_oracle(o, std::string(40, 'N'), "N run");
+}
+
+TEST(FmIndexDifferential, SimulatedGenomeSeeds) {
+  // The aligner's shape: 19-mers of a simulated genome, most present.
+  Rng rng(fuzz_seed() + 4);
+  const auto spec =
+      simdata::ReferenceSpec::genome(60'000, 3, 1 + fuzz_seed() % 1000);
+  const FmOracle o(simdata::generate_reference(spec));
+  for (int i = 0; i < 500; ++i) {
+    const std::string& seq =
+        o.ref.contigs()[rng.below(o.ref.contig_count())].sequence;
+    std::string seed = seq.substr(rng.below(seq.size() - 19), 19);
+    if (rng.below(4) == 0) seed[rng.below(19)] = "ACGT"[rng.below(4)];
+    expect_search_matches_oracle(o, seed, "19-mer");
   }
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "compress/bitio.hpp"
@@ -336,12 +337,85 @@ TEST_P(RecordCodecTest, CodecMismatchThrows) {
   EXPECT_THROW(decode_fastq_batch(bytes, other), std::invalid_argument);
 }
 
+/// `batch` with its record count, the varint after the 4-byte magic and the
+/// codec byte, rewritten to `count`.
+std::vector<std::uint8_t> with_record_count(
+    const std::vector<std::uint8_t>& batch, std::uint64_t count) {
+  std::size_t end = 5;
+  while (batch.at(end) & 0x80) ++end;
+  ByteWriter w;
+  w.raw(std::span(batch).first(5));
+  w.uvarint(count);
+  w.raw(std::span(batch).subspan(end + 1));
+  return w.take();
+}
+
+// A count of 2^40 records passed to reserve() would ask for terabytes
+// (bad_alloc in a plain build, an abort under ASan); the decoders must
+// reject it against the bytes left, with the reader's truncation error.
+TEST_P(RecordCodecTest, HugeRecordCountThrowsBeforeAllocating) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  const Codec codec = GetParam();
+  auto flat = sample_fastq(4);
+  const std::vector<FastqPair> pairs = {
+      {flat[0], flat[1]},
+      {flat[2], flat[3]},
+  };
+  const std::vector<VcfRecord> vcf = {
+      {0, 100, "rs1", "A", "C", 50.0, Genotype::kHet},
+  };
+  const auto fastq = encode_fastq_batch(flat, codec);
+  const auto pair = encode_fastq_pair_batch(pairs, codec);
+  const auto sam = encode_sam_batch(sample_sam(4), codec);
+  const auto vcf_bytes = encode_vcf_batch(vcf, codec);
+  // The rewrite keeps a valid batch valid.
+  ASSERT_EQ(decode_fastq_batch(with_record_count(fastq, 4), codec), flat);
+  EXPECT_THROW(decode_fastq_batch(with_record_count(fastq, kHuge), codec),
+               std::out_of_range);
+  EXPECT_THROW(decode_fastq_pair_batch(with_record_count(pair, kHuge), codec),
+               std::out_of_range);
+  EXPECT_THROW(decode_sam_batch(with_record_count(sam, kHuge), codec),
+               std::out_of_range);
+  EXPECT_THROW(decode_vcf_batch(with_record_count(vcf_bytes, kHuge), codec),
+               std::out_of_range);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllCodecs, RecordCodecTest,
                          ::testing::Values(Codec::kJavaLike, Codec::kKryoLike,
                                            Codec::kGpf),
                          [](const auto& info) {
                            return codec_name(info.param);
                          });
+
+// A SAM record's CIGAR element count gets the same bound.  Kryo-like and GPF
+// write it as a varint; the Java-like codec writes the CIGAR as text.
+TEST(RecordCodecHostile, HugeCigarCountThrowsBeforeAllocating) {
+  SamRecord rec;
+  rec.qname = "cigar-count-probe";
+  rec.flag = 0;
+  rec.contig_id = 0;
+  rec.pos = 0;
+  rec.mapq = 0;
+  rec.cigar = {{CigarOp::kMatch, 4}};
+  rec.sequence = "ACGT";
+  rec.quality = "IIII";
+  for (const Codec codec : {Codec::kKryoLike, Codec::kGpf}) {
+    const auto bytes = encode_sam_batch(std::vector<SamRecord>{rec}, codec);
+    // The fixed fields: qname, then one byte each for flag, contig, pos and
+    // mapq (all zero), then the CIGAR count.
+    const auto name = std::ranges::search(bytes, rec.qname).begin();
+    ASSERT_NE(name, bytes.end()) << codec_name(codec);
+    const auto name_at = static_cast<std::size_t>(name - bytes.begin());
+    const std::size_t at = name_at + rec.qname.size() + 4;
+    ASSERT_EQ(bytes.at(at), 1) << codec_name(codec);
+    ByteWriter w;
+    w.raw(std::span(bytes).first(at));
+    w.uvarint(std::uint64_t{1} << 40);
+    w.raw(std::span(bytes).subspan(at + 1));
+    EXPECT_THROW(decode_sam_batch(w.bytes(), codec), std::out_of_range)
+        << codec_name(codec);
+  }
+}
 
 TEST(RecordCodecSizes, GpfSmallerThanKryoSmallerThanJava) {
   // The paper's serialization hierarchy: GPF < Kryo << Java.
