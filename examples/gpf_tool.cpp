@@ -9,7 +9,8 @@
 //   gpf_tool pipeline <ref.fa> <r1.fastq> <r2.fastq> <known.vcf> <out.vcf>
 //       [--backend {inprocess,spill,distributed}] [--store-budget BYTES]
 //       [--workers N]
-//       runs on the chosen execution backend and prints a per-Process
+//       runs on the chosen execution backend and prints the final
+//       partition count (after the read-count split) and a per-Process
 //       table of wall time, shuffle traffic and backend residency work
 //   gpf_tool trace <ref.fa> <r1.fastq> <r2.fastq> <known.vcf> <out.json>
 //       [sim_cores=2048]
@@ -18,8 +19,11 @@
 //       simulated-cluster replay of the run (pid 1); open the file in
 //       chrome://tracing or https://ui.perfetto.dev
 //   gpf_tool view <in.gbam>
+//
+// A numeric argument that is empty, has trailing junk, is not positive or
+// is out of range exits with status 2 and a "gpf_tool: bad ..." message.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <memory>
@@ -69,6 +73,24 @@ SamHeader sam_header_for(const Reference& reference) {
   return header;
 }
 
+/// Parses all of `text` as a number of type T with 0 < value <= max;
+/// prints a "gpf_tool: bad <what>" message and returns false on empty
+/// input, trailing junk, or a value out of that range.
+template <typename T>
+bool parse_positive(const char* text, const char* what, T max, T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  // !(value > 0) also rejects a NaN coverage.
+  if (ec != std::errc() || ptr != end || !(value > 0) || value > max) {
+    std::fprintf(stderr, "gpf_tool: bad %s '%s' (want 0 < %s <= %.0f)\n",
+                 what, text, what, static_cast<double>(max));
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 SamFile load_alignments(const std::string& path) {
   return ends_with(path, ".gbam") ? load_gbam_file(path)
                                   : core::load_sam_file(path);
@@ -80,8 +102,15 @@ int cmd_simulate(int argc, char** argv) {
     return 2;
   }
   const std::string prefix = argv[0];
-  const std::int64_t kb = argc > 1 ? std::atoll(argv[1]) : 100;
-  const double coverage = argc > 2 ? std::atof(argv[2]) : 15.0;
+  std::int64_t kb = 100;
+  double coverage = 15.0;
+  if (argc > 1 &&
+      !parse_positive<std::int64_t>(argv[1], "genome_kb", 1'000'000, kb)) {
+    return 2;
+  }
+  if (argc > 2 && !parse_positive(argv[2], "coverage", 1000.0, coverage)) {
+    return 2;
+  }
   simdata::ReadSimSpec spec;
   spec.coverage = coverage;
   spec.seed = 20260705;
@@ -207,21 +236,10 @@ void print_process_table(const core::PipelineReport& report) {
 }
 
 int cmd_pipeline(int argc, char** argv, const exec::BackendSpec& spec) {
-  bool adaptive = false;
-  for (int i = 0; i < argc;) {
-    if (std::strcmp(argv[i], "--adaptive") == 0) {
-      adaptive = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-    } else {
-      ++i;
-    }
-  }
-  if (argc < 5) {
+  if (argc != 5) {
     std::fprintf(stderr,
                  "usage: gpf_tool pipeline <ref.fa> <r1> <r2> <known.vcf> "
-                 "<out.vcf> [--backend B] [--store-budget N] [--workers N] "
-                 "[--adaptive]\n");
+                 "<out.vcf> [--backend B] [--store-budget N] [--workers N]\n");
     return 2;
   }
   const Reference reference = core::load_fasta_file(argv[0]);
@@ -230,7 +248,6 @@ int cmd_pipeline(int argc, char** argv, const exec::BackendSpec& spec) {
   const std::unique_ptr<core::ExecutionBackend> backend =
       exec::make_backend(spec);
   core::PipelineConfig config;
-  config.adaptive_scheduling = adaptive;
   config.partition_length =
       std::max<std::int64_t>(10'000, static_cast<std::int64_t>(
                                          reference.total_length() / 16));
@@ -239,10 +256,11 @@ int cmd_pipeline(int argc, char** argv, const exec::BackendSpec& spec) {
       config);
   core::save_vcf_file(argv[4], vcf_header_for(reference), result.variants);
   std::printf("pipeline done: %zu variants -> %s (%zu duplicates marked, "
-              "%zu engine stages)\n",
+              "%zu engine stages, %zu final partitions)\n",
               result.variants.size(), argv[4],
               result.markdup_stats.duplicates_marked,
-              backend->engine().metrics().stage_count());
+              backend->engine().metrics().stage_count(),
+              result.final_partitions);
   print_process_table(result.report);
   return 0;
 }
@@ -254,8 +272,12 @@ int cmd_trace(int argc, char** argv) {
                  "<out_trace.json> [sim_cores=2048]\n");
     return 2;
   }
-  const std::size_t sim_cores =
-      argc > 5 ? static_cast<std::size_t>(std::atoll(argv[5])) : 2048;
+  std::size_t sim_cores = 2048;
+  if (argc > 5 &&
+      !parse_positive<std::size_t>(argv[5], "sim_cores", 1'000'000,
+                                   sim_cores)) {
+    return 2;
+  }
   const Reference reference = core::load_fasta_file(argv[0]);
   auto pairs = core::load_fastq_pair_files(argv[1], argv[2]);
   auto known = core::load_vcf_file(argv[3]);

@@ -8,7 +8,6 @@
 #include "common/histogram.hpp"
 #include "common/logging.hpp"
 #include "common/timer.hpp"
-#include "sched/scheduler.hpp"
 
 namespace gpf::core {
 
@@ -34,7 +33,6 @@ std::string PhysicalPlan::describe() const {
     if (s.wide) out += ",wide";
     if (s.fused_into_chain) out += ",fused";
     if (s.emits_bundle) out += ",bundle>";
-    if (s.adaptive) out += ",adaptive";
     out += ']';
   }
   return out;
@@ -87,7 +85,6 @@ PhysicalPlan build_physical_plan(
       s.wave = wave;
       s.fused_into_chain = p->bundle_source() != nullptr;
       s.emits_bundle = p->emit_bundle();
-      s.adaptive = config.adaptive_scheduling;
       // A fused stage consumes its upstream's bundle in place; its own
       // wide boundary was what the Fig-7 pass eliminated.
       s.wide = p->has_wide_dependency() && !s.fused_into_chain;
@@ -152,15 +149,6 @@ void ExecutionBackend::execute(const PhysicalPlan& plan, PipelineContext& ctx,
                                PipelineReport& report) {
   report.backend = name();
   ctx.set_backend(this);
-  // The adaptive scheduler is a plan-scoped engine seam, like the shuffle
-  // transport: installed here so every backend inherits identical adaptive
-  // behavior.  A scheduler the caller attached beforehand is respected
-  // (and kept after the run).
-  const bool install_scheduler =
-      plan.config().adaptive_scheduling && engine().scheduler() == nullptr;
-  if (install_scheduler) {
-    engine().set_scheduler(std::make_shared<sched::AdaptiveScheduler>());
-  }
   begin_plan(plan);
   Timer total;
   try {
@@ -196,12 +184,10 @@ void ExecutionBackend::execute(const PhysicalPlan& plan, PipelineContext& ctx,
     }
   } catch (...) {
     end_plan(plan);
-    if (install_scheduler) engine().set_scheduler(nullptr);
     report.total_wall_seconds = total.seconds();
     throw;
   }
   end_plan(plan);
-  if (install_scheduler) engine().set_scheduler(nullptr);
   report.total_wall_seconds = total.seconds();
 }
 

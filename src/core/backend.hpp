@@ -41,11 +41,6 @@ struct PhysicalStage {
   bool fused_into_chain = false;
   /// Fig-7 fusion wiring: this stage publishes its bundle downstream.
   bool emits_bundle = false;
-  /// True when the plan runs under an AdaptiveScheduler
-  /// (PipelineConfig::adaptive_scheduling) — stamped on every stage so
-  /// backends and describe() see the scheduling mode without consulting
-  /// the config.
-  bool adaptive = false;
   /// Lineage: resource names consumed / defined by this stage.
   std::vector<std::string> inputs;
   std::vector<std::string> outputs;

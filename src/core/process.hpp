@@ -39,11 +39,6 @@ struct PipelineConfig {
   std::uint64_t split_threshold = 4'000;
   /// Partition count for the input FASTQ dataset.
   std::size_t fastq_partitions = 16;
-  /// Trace-driven adaptive scheduling (sched/scheduler.hpp): the backend
-  /// installs an AdaptiveScheduler around the plan, so element-wise engine
-  /// stages are re-tasked against predicted skew.  Only task granularity
-  /// changes — outputs stay bit-identical to the static path.
-  bool adaptive_scheduling = false;
 };
 
 /// Shared state for one pipeline run: the engine, the reference (a

@@ -41,8 +41,6 @@
 #include "engine/metrics.hpp"
 #include "engine/shuffle_transport.hpp"
 #include "engine/stage_executor.hpp"
-#include "sched/scheduler.hpp"
-#include "sched/speculation.hpp"
 
 namespace gpf::engine {
 
@@ -74,13 +72,11 @@ struct EngineConfig {
   /// recompute).  Feeds StageExecPolicy's shared RetryPolicy as
   /// max_attempts = max_task_retries + 1.
   int max_task_retries = 2;
-  /// Speculative execution, shared with the stage executor (see
-  /// sched/speculation.hpp): under a FaultInjector the static rule keys
-  /// copies on planned delays so counters stay deterministic under a
-  /// fixed seed; otherwise the quantile rule (off by default, raised by
-  /// Engine::set_scheduler) watches running tasks against the stage's
-  /// median.
-  sched::SpeculationPolicy speculation = {};
+  /// Speculative execution: under a FaultInjector, a task whose first
+  /// attempt carries an injected delay of at least
+  /// kSpeculationDelayThresholdMs gets a copy at submission time (see
+  /// engine/stage_executor.hpp).
+  bool speculation = true;
 };
 
 template <typename T>
@@ -132,27 +128,12 @@ class Engine {
   }
   ShuffleTransport* shuffle_transport() const { return transport_.get(); }
 
-  /// Attaches the adaptive scheduler consulted by element-wise stages
-  /// (nullptr detaches).  Scheduling only changes task granularity —
-  /// outputs are bit-identical with or without one; see
-  /// sched/scheduler.hpp.
-  void set_scheduler(std::shared_ptr<sched::AdaptiveScheduler> scheduler) {
-    scheduler_ = std::move(scheduler);
-  }
-  sched::AdaptiveScheduler* scheduler() const { return scheduler_.get(); }
-
   /// The executor-facing slice of the configuration.
   StageExecPolicy exec_policy() const {
-    StageExecPolicy policy{
+    return StageExecPolicy{
         RetryPolicy{.max_attempts = config_.max_task_retries + 1,
                     .backoff_initial_ms = 0, .backoff_max_ms = 0},
         config_.speculation};
-    // Attaching the adaptive scheduler opts the engine into the
-    // observational quantile rule; static engines keep the legacy
-    // injected-delay rule only, so their runs stay span-for-span
-    // identical.
-    if (scheduler_) policy.speculation.quantile = true;
-    return policy;
   }
 
   /// Creates a dataset from pre-partitioned data.
@@ -170,7 +151,6 @@ class Engine {
   BufferPool buffer_pool_;
   std::shared_ptr<FaultInjector> injector_;
   std::shared_ptr<ShuffleTransport> transport_;
-  std::shared_ptr<sched::AdaptiveScheduler> scheduler_;
 };
 
 /// A partitioned in-memory collection.  Cheap to copy (partitions are
@@ -270,91 +250,15 @@ class Dataset {
 
   /// Narrow element-wise transformation over contiguous record ranges:
   /// `fn(part, lo, hi)` returns the output records for part[lo, hi).
-  /// Because element results are independent and reassembly preserves
-  /// record order, the engine's AdaptiveScheduler (if attached) may split
-  /// a heavy partition's range across several tasks and bundle
-  /// micro-partitions into one — output partition p is exactly
-  /// fn(part_p, 0, size_p) bit for bit either way.  map/flat_map/filter
-  /// route through here; whole-partition functions (map_partitions) never
-  /// split and keep their TaskContext semantics.
+  /// map/flat_map/filter route through here.  Each partition runs as one
+  /// task over its whole range: output partition p is fn(part_p, 0, size_p).
   template <typename U, typename RangeFn>
   Dataset<U> map_record_ranges(const std::string& stage_name,
                                RangeFn&& fn) const {
-    sched::AdaptiveScheduler* scheduler = engine_->scheduler();
-    sched::StagePlan plan;
-    if (scheduler) {
-      plan = scheduler->plan_stage(stage_name, partition_records(),
-                                   engine_->pool().size(),
-                                   /*splittable=*/true);
-    }
-    if (!plan.adopted) {
-      // Static layout: one task per partition, the historical path.
-      return map_partitions_ctx<U>(
-          stage_name, [&fn](const TaskContext&, const std::vector<T>& part) {
-            return fn(part, std::size_t{0}, part.size());
-          });
-    }
-
-    const auto& tasks = plan.tasks;
-    const std::size_t n_tasks = tasks.size();
-    StageMetrics stage;
-    stage.name = stage_name;
-    stage.task_count = n_tasks;
-    stage.task_seconds.assign(n_tasks, 0.0);
-    stage.adaptive_splits = plan.partitions_split;
-    stage.adaptive_merges = plan.tasks_merged;
-
-    FaultInjector* injector = engine_->fault_injector();
-    const std::size_t ordinal =
-        injector ? injector->begin_stage(stage_name) : 0;
-    Timer wall;
-    // One output chunk per span; a partition's chunks are concatenated in
-    // span order below, which reproduces the unsplit output exactly.
-    using Chunks = std::vector<std::vector<U>>;
-    std::vector<Chunks> task_outs;
-    try {
-      task_outs = execute_stage<Chunks>(
-          engine_->pool(), engine_->exec_policy(), injector, stage, ordinal,
-          n_tasks, /*task_offset=*/0, [&](std::size_t t, int) {
-            Chunks chunks;
-            chunks.reserve(tasks[t].spans.size());
-            for (const auto& sp : tasks[t].spans) {
-              chunks.push_back(
-                  fn((*partitions_)[sp.partition], sp.begin, sp.end));
-            }
-            return chunks;
-          });
-    } catch (...) {
-      record_stage(std::move(stage), wall, /*failed=*/true);
-      throw;
-    }
-
-    // Reassemble: the planner emits spans in (partition, begin) order, so
-    // one in-order pass rebuilds every partition; a partition that was
-    // not split moves through untouched.
-    auto out = std::make_shared<std::vector<std::vector<U>>>(
-        partitions_->size());
-    for (std::size_t t = 0; t < n_tasks; ++t) {
-      for (std::size_t s = 0; s < tasks[t].spans.size(); ++s) {
-        const sched::TaskSpan& sp = tasks[t].spans[s];
-        auto& dst = (*out)[sp.partition];
-        auto& chunk = task_outs[t][s];
-        if (dst.empty()) {
-          dst = std::move(chunk);
-        } else {
-          dst.insert(dst.end(), std::make_move_iterator(chunk.begin()),
-                     std::make_move_iterator(chunk.end()));
-        }
-      }
-    }
-
-    std::vector<std::size_t> task_records(n_tasks);
-    for (std::size_t t = 0; t < n_tasks; ++t) {
-      task_records[t] = tasks[t].records();
-    }
-    scheduler->observe_stage(stage_name, stage.task_seconds, task_records);
-    record_stage(std::move(stage), wall, /*failed=*/false);
-    return Dataset<U>(engine_, std::move(out));
+    return map_partitions_ctx<U>(
+        stage_name, [&fn](const TaskContext&, const std::vector<T>& part) {
+          return fn(part, std::size_t{0}, part.size());
+        });
   }
 
   /// Narrow transformation over whole partitions.  `fn` receives the input
@@ -411,7 +315,6 @@ class Dataset {
       record_stage(std::move(stage), wall, /*failed=*/true);
       throw;
     }
-    observe_scheduler(stage_name, stage, n, partition_records());
     record_stage(std::move(stage), wall, /*failed=*/false);
     return Dataset<U>(engine_, std::move(out));
   }
@@ -641,9 +544,6 @@ class Dataset {
       stage.shuffle_read_bytes = stage.shuffle_write_bytes;
       stage.shuffle_records = records_moved;
     }
-    // Map-side tasks scale with input partition size; feed them to the
-    // cost model (reduce tasks have their own cost shape and stay out).
-    observe_scheduler(stage_name, stage, n_in, partition_records());
     record_stage(std::move(stage), wall, /*failed=*/false);
 
     Dataset result(engine_, std::move(out));
@@ -821,7 +721,6 @@ class Dataset {
       record_stage(std::move(stage), wall, /*failed=*/true);
       throw;
     }
-    observe_scheduler(stage_name, stage, n, partition_records());
     record_stage(std::move(stage), wall, /*failed=*/false);
     U result = init;
     for (auto& p : partials) result = combine(std::move(result), std::move(p));
@@ -831,28 +730,6 @@ class Dataset {
  private:
   template <typename U>
   friend class Dataset;
-
-  /// Record count of every partition (the planner's and cost model's
-  /// per-task input signal).
-  std::vector<std::size_t> partition_records() const {
-    std::vector<std::size_t> records(partitions_->size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      records[i] = (*partitions_)[i].size();
-    }
-    return records;
-  }
-
-  /// Feeds a finished stage's per-task timings to the scheduler's cost
-  /// model (first `n` entries of task_seconds against `records`).
-  void observe_scheduler(const std::string& stage_name,
-                         const StageMetrics& stage, std::size_t n,
-                         const std::vector<std::size_t>& records) const {
-    if (sched::AdaptiveScheduler* scheduler = engine_->scheduler()) {
-      scheduler->observe_stage(
-          stage_name,
-          std::span<const double>(stage.task_seconds.data(), n), records);
-    }
-  }
 
   /// Stamps the wall time and files the stage with the engine — also for
   /// failed stages, so chaos runs can audit retry/fault accounting.

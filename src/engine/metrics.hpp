@@ -53,10 +53,6 @@ struct StageMetrics {
   double task_p50_ms = 0.0;
   double task_p95_ms = 0.0;
   double task_p99_ms = 0.0;
-  /// Adaptive-repartition counters: input partitions the scheduler split
-  /// into finer tasks, and micro-partitions it coalesced into one task.
-  std::size_t adaptive_splits = 0;
-  std::size_t adaptive_merges = 0;
 
   double total_compute_seconds() const;
   double max_task_seconds() const;

@@ -17,27 +17,20 @@
 //    hashes of (seed, stage, task, attempt), so the chaos pattern is
 //    schedule-independent.
 //
-//  * Speculative execution: two rules share sched::SpeculationPolicy.
-//    Under a FaultInjector, a task whose first attempt is delayed past
-//    the static threshold gets a speculative copy submitted immediately
-//    (keyed on the injector's planned delays rather than wall-clock
-//    observation so that the speculative_launches counter is
-//    deterministic under a fixed chaos seed).  Without an injector the
-//    quantile rule may arm instead: the caller's wait loop watches
-//    running tasks and launches a copy for any task older than
-//    quantile_factor × the running median of finished tasks in the
-//    stage (durations tracked in a common/histogram).  Either way the
-//    first finished attempt claims the task; the loser — including a
-//    straggler still parked in its injected delay, which waits on the
-//    stage's condition variable and is woken on claim or abort — is
-//    discarded.  Results are identical because attempts are pure
-//    functions of the same immutable inputs.
+//  * Speculative execution: under a FaultInjector, a task whose first
+//    attempt is delayed past kSpeculationDelayThresholdMs gets a
+//    speculative copy submitted immediately (keyed on the injector's
+//    planned delays rather than wall-clock observation so that the
+//    speculative_launches counter is deterministic under a fixed chaos
+//    seed).  The first finished attempt claims the task; the loser —
+//    including a straggler still parked in its injected delay, which waits
+//    on the stage's condition variable and is woken on claim or abort — is
+//    discarded.  Results are identical because attempts are pure functions
+//    of the same immutable inputs.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -48,39 +41,34 @@
 #include <utility>
 #include <vector>
 
-#include "common/histogram.hpp"
 #include "common/retry.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "engine/fault_injector.hpp"
 #include "engine/metrics.hpp"
-#include "sched/speculation.hpp"
 
 namespace gpf::engine {
+
+/// Injected first-attempt delays at or above this launch a speculative
+/// copy at submission time (paper Sec 4.4 / Spark's spark.speculation).
+inline constexpr double kSpeculationDelayThresholdMs = 20.0;
 
 /// The slice of EngineConfig the executor needs (kept separate so this
 /// header does not depend on dataset.hpp).  Task attempts share the same
 /// RetryPolicy shape the net channels use; the engine defaults backoff to
 /// zero because an in-process retry has no transport to decongest.
-/// Speculation knobs live in the shared sched::SpeculationPolicy.
 struct StageExecPolicy {
   RetryPolicy retry{.max_attempts = 3, .backoff_initial_ms = 0,
                     .backoff_max_ms = 0};
-  sched::SpeculationPolicy speculation = {};
+  /// Speculative copies for injected stragglers (EngineConfig::speculation).
+  bool speculation = true;
 
   /// Retries after the first attempt (EngineConfig::max_task_retries).
   int max_retries() const { return retry.retries(); }
 };
 
 namespace detail {
-
-/// Steady-clock now in microseconds (straggler-age bookkeeping).
-inline std::int64_t steady_now_us() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// What the current exception says, for StageFailure's message.
 inline std::string current_exception_message() {
@@ -118,13 +106,6 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
   std::exception_ptr error;
   std::atomic<bool> abort{false};
   auto claimed = std::make_unique<std::atomic<bool>[]>(n_tasks);
-  // Quantile-rule state: when each primary started (0 = not yet, steady
-  // µs otherwise), which tasks already have a speculative copy, and the
-  // finished-task duration histogram (0.1 ms buckets, guarded by mu).
-  auto started_us = std::make_unique<std::atomic<std::int64_t>[]>(n_tasks);
-  auto spec_launched = std::make_unique<std::atomic<bool>[]>(n_tasks);
-  Histogram done_ms10;
-  std::size_t done_count = 0;
   std::atomic<std::size_t> failed{0};
   std::atomic<std::size_t> retried{0};
   std::atomic<std::size_t> injected{0};
@@ -139,8 +120,6 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
     stage.task_seconds[task_offset + i] = seconds;
     std::lock_guard lock(mu);
     --open_tasks;
-    done_ms10.add(std::llround(seconds * 1e4));
-    ++done_count;
     cv.notify_all();
   };
 
@@ -160,7 +139,6 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
 
   // The authoritative attempt loop for one task.
   auto primary = [&](std::size_t i) {
-    started_us[i].store(detail::steady_now_us());
     for (int attempt = 0;; ++attempt) {
       if (abort.load() || claimed[i].load()) return;
       Timer t;
@@ -264,64 +242,16 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
       injector->record_injected_delay();
     }
     submit([&primary, i] { primary(i); });
-    if (policy.speculation.enabled &&
-        planned_delay >= policy.speculation.delay_threshold_ms) {
-      spec_launched[i].store(true);
+    if (policy.speculation && planned_delay >= kSpeculationDelayThresholdMs) {
       speculative.fetch_add(1);
       submit([&speculative_copy, i] { speculative_copy(i); });
     }
   }
 
-  // Observational quantile speculation only arms without an injector:
-  // chaos runs key speculation on planned delays (above) so the counter
-  // stays deterministic under a fixed seed.
-  const sched::SpeculationPolicy& spec = policy.speculation;
-  const bool quantile_watch = spec.enabled && spec.quantile &&
-                              injector == nullptr && n_tasks > 1;
   {
     std::unique_lock lock(mu);
-    auto done = [&] { return inflight == 0 && (open_tasks == 0 || error); };
-    if (!quantile_watch) {
-      cv.wait(lock, done);
-    } else {
-      // The rule arms once the stage is quantile_fraction complete AND
-      // min_completed tasks have reported; both guards fight the
-      // early-finisher bias that would otherwise duplicate every task of
-      // a heavier-than-median tier.
-      const std::size_t armed_at = std::max<std::size_t>(
-          spec.quantile_min_completed,
-          static_cast<std::size_t>(
-              std::ceil(spec.quantile_fraction *
-                        static_cast<double>(n_tasks))));
-      while (!done()) {
-        cv.wait_for(lock, std::chrono::milliseconds(2));
-        if (abort.load() || done_count < armed_at) {
-          continue;
-        }
-        const double median_ms =
-            static_cast<double>(done_ms10.percentile(0.5)) / 10.0;
-        const double threshold_ms =
-            std::max(median_ms * spec.quantile_factor, spec.min_task_ms);
-        const std::int64_t now = detail::steady_now_us();
-        std::vector<std::size_t> launch;
-        for (std::size_t i = 0; i < n_tasks; ++i) {
-          if (claimed[i].load() || spec_launched[i].load()) continue;
-          const std::int64_t t0 = started_us[i].load();
-          if (t0 == 0) continue;  // queued, not straggling
-          if (static_cast<double>(now - t0) / 1e3 >= threshold_ms) {
-            launch.push_back(i);
-          }
-        }
-        if (launch.empty()) continue;
-        lock.unlock();  // submit() takes mu
-        for (const std::size_t i : launch) {
-          if (spec_launched[i].exchange(true)) continue;
-          speculative.fetch_add(1);
-          submit([&speculative_copy, i] { speculative_copy(i); });
-        }
-        lock.lock();
-      }
-    }
+    cv.wait(lock,
+            [&] { return inflight == 0 && (open_tasks == 0 || error); });
   }
 
   stage.task_retries += retried.load();

@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sched/lpt.hpp"
+#include "simcluster/lpt.hpp"
 
 namespace gpf::sim {
 namespace {
@@ -43,8 +43,7 @@ TaskCost task_cost(const SimTask& task, const ClusterConfig& cluster) {
 
 /// Schedules one stage's tasks LPT onto `cores` slots starting at time
 /// `start`; returns the stage end time and optionally records per-task
-/// intervals via `on_task(idx, start, duration, slot)`.  The LPT heap
-/// itself is shared with the engine's adaptive planner (sched/lpt.hpp).
+/// intervals via `on_task(idx, start, duration, slot)` (simcluster/lpt.hpp).
 template <typename OnTask>
 double schedule_stage(const std::vector<TaskCost>& costs, std::size_t cores,
                       double start, bool with_disk, bool with_net,
@@ -54,8 +53,7 @@ double schedule_stage(const std::vector<TaskCost>& costs, std::size_t cores,
   for (const TaskCost& c : costs) {
     totals.push_back(c.total(with_disk, with_net));
   }
-  return sched::lpt_schedule(totals, cores, start,
-                             std::forward<OnTask>(on_task));
+  return lpt_schedule(totals, cores, start, std::forward<OnTask>(on_task));
 }
 
 SimResult simulate_impl(const SimJob& job, const ClusterConfig& cluster,

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/histogram.hpp"
@@ -149,6 +153,40 @@ TEST(ThreadPool, ManyConcurrentSubmitters) {
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(sum.load(), 256);
+}
+
+TEST(ThreadPoolWorkStealing, SkewedSubmissionDrainsAcrossWorkers) {
+  // All heavy tasks land on one deque via round-robin bursts; idle
+  // workers must steal them for the batch to finish promptly.
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < 64; ++i) {
+    futs.push_back(pool.submit([&ran] {
+      ran.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }));
+  }
+  for (auto& f : futs) f.get();
+  EXPECT_EQ(ran.load(), 64);
+}
+
+TEST(ThreadPoolWorkStealing, WorkerLocalSubmissionsVisibleToThieves) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  // A worker task fans out subtasks onto its own deque; other workers
+  // must be able to steal them.
+  pool.submit([&] {
+      std::vector<std::future<void>> inner;
+      for (int i = 0; i < 32; ++i) {
+        inner.push_back(pool.submit([&ran] {
+          ran.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }));
+      }
+      for (auto& f : inner) f.get();
+    }).get();
+  EXPECT_EQ(ran.load(), 32);
 }
 
 TEST(Rng, DeterministicForSeed) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "compress/record_codec.hpp"
@@ -173,6 +176,43 @@ TEST(Engine, StageMetricsComputeHelpers) {
   s.task_seconds = {1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(s.total_compute_seconds(), 6.0);
   EXPECT_DOUBLE_EQ(s.max_task_seconds(), 3.0);
+}
+
+TEST(Engine, TaskPercentilesRecordedOnStages) {
+  Engine engine({.worker_threads = 4});
+  auto ds = engine.parallelize(std::vector<int>(4000, 2), 8)
+                .map("p", [](const int& x) { return x; });
+  (void)ds;
+  const auto& stage = engine.metrics().stages().back();
+  EXPECT_GE(stage.task_p95_ms, stage.task_p50_ms);
+  EXPECT_GE(stage.task_p99_ms, stage.task_p95_ms);
+}
+
+TEST(Engine, NoSpeculativeCopyWithoutInjector) {
+  // Speculation keys only on a FaultInjector's planned delays, so a real
+  // straggler — one ~100 ms task among fifteen ~1 ms ones — runs once and
+  // is waited out.
+  Engine engine({.worker_threads = 4});
+  std::atomic<int> slow_runs{0};
+  std::vector<std::vector<int>> parts(16);
+  for (int p = 0; p < 16; ++p) parts[static_cast<std::size_t>(p)] = {p};
+  const auto got =
+      engine.make_dataset(parts)
+          .map_partitions<int>("straggle",
+                               [&slow_runs](const std::vector<int>& part) {
+                                 const bool slow = part[0] == 0;
+                                 if (slow) slow_runs.fetch_add(1);
+                                 std::this_thread::sleep_for(
+                                     std::chrono::milliseconds(slow ? 100
+                                                                    : 1));
+                                 return std::vector<int>{part[0] + 100};
+                               })
+          .collect();
+  std::vector<int> want(16);
+  std::iota(want.begin(), want.end(), 100);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(engine.metrics().stages().back().speculative_launches, 0u);
+  EXPECT_EQ(slow_runs.load(), 1);
 }
 
 TEST(Engine, MetricsReset) {

@@ -231,43 +231,6 @@ TEST_F(BackendFixture, SpillingBackendCompletesUnderTinyBudget) {
   EXPECT_GT(backend.chunk_store().residency().stats().evictions, 0u);
 }
 
-TEST_F(BackendFixture, AdaptiveSchedulingBitIdenticalOnAllBackends) {
-  // adaptive_scheduling only re-tasks element-wise stages; the VCF must
-  // match the static golden bit for bit on every backend.
-  core::PipelineConfig cfg = config();
-  cfg.adaptive_scheduling = true;
-
-  {
-    exec::InProcessBackend backend({.worker_threads = 4});
-    const WgsResult r = run_wgs_pipeline(backend, workload().reference,
-                                         workload().sample.pairs,
-                                         workload().truth, cfg);
-    EXPECT_EQ(write_vcf(vcf_header(), r.variants), golden().vcf);
-    // The plan-scoped scheduler is detached after the run.
-    EXPECT_EQ(backend.engine().scheduler(), nullptr);
-  }
-  {
-    exec::SpillingBackendOptions options;
-    options.engine = {.worker_threads = 4};
-    exec::SpillingBackend backend(options);
-    const WgsResult r = run_wgs_pipeline(backend, workload().reference,
-                                         workload().sample.pairs,
-                                         workload().truth, cfg);
-    EXPECT_EQ(write_vcf(vcf_header(), r.variants), golden().vcf);
-  }
-  {
-    exec::DistributedBackendOptions options;
-    options.engine = {.worker_threads = 4};
-    options.workers = 2;
-    options.worker_binary = distributed_worker_binary();
-    exec::DistributedBackend backend(options);
-    const WgsResult r = run_wgs_pipeline(backend, workload().reference,
-                                         workload().sample.pairs,
-                                         workload().truth, cfg);
-    EXPECT_EQ(write_vcf(vcf_header(), r.variants), golden().vcf);
-  }
-}
-
 TEST_F(BackendFixture, DistributedBackendBitIdentical) {
   exec::DistributedBackendOptions options;
   options.engine = {.worker_threads = 4};

@@ -310,7 +310,7 @@ TEST(Chaos, SpeculationDisabledWaitsOutTheStraggler) {
   Engine engine({.worker_threads = 4,
                  .serialize_shuffle = true,
                  .max_task_retries = 2,
-                 .speculation = {.enabled = false}});
+                 .speculation = false});
   engine.set_fault_injector(std::make_shared<FaultInjector>(
       chaos_seed(), std::vector<FaultRule>{FaultRule::delay_task(
                         "slow", 1, /*delay_ms=*/150.0)}));

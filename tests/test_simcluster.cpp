@@ -1,11 +1,14 @@
-// Tests for the trace-driven cluster simulator and the shared-filesystem
-// model.
+// Tests for the trace-driven cluster simulator, its LPT slot scheduler
+// and the shared-filesystem model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "engine/metrics.hpp"
 #include "simcluster/cluster.hpp"
+#include "simcluster/lpt.hpp"
 #include "simcluster/sharedfs.hpp"
 #include "simcluster/trace.hpp"
 
@@ -25,6 +28,50 @@ SimJob uniform_job(std::size_t stages, std::size_t tasks_per_stage,
   }
   return job;
 }
+
+// --- LPT --------------------------------------------------------------------
+
+double lpt_makespan(std::span<const double> costs, std::size_t slots) {
+  return lpt_schedule(costs, slots, 0.0,
+                      [](std::size_t, double, double, std::size_t) {});
+}
+
+TEST(Lpt, MakespanSingleSlotIsSum) {
+  const std::vector<double> costs = {1.0, 2.0, 3.0};
+  EXPECT_DOUBLE_EQ(lpt_makespan(costs, 1), 6.0);
+}
+
+TEST(Lpt, BalancesAcrossSlots) {
+  // LPT on {4,3,3,2} over 2 slots: 4+2 vs 3+3 -> makespan 6.
+  const std::vector<double> costs = {3.0, 4.0, 2.0, 3.0};
+  EXPECT_DOUBLE_EQ(lpt_makespan(costs, 2), 6.0);
+}
+
+TEST(Lpt, EmptyAndZeroSlots) {
+  EXPECT_DOUBLE_EQ(lpt_makespan({}, 4), 0.0);
+  const std::vector<double> costs = {1.0};
+  EXPECT_DOUBLE_EQ(lpt_makespan(costs, 0), 0.0);
+}
+
+TEST(Lpt, PlacementsCoverEveryTaskDeterministically) {
+  const std::vector<double> costs = {5.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+  std::vector<int> seen(costs.size(), 0);
+  std::vector<std::size_t> slots_used;
+  const double end = lpt_schedule(
+      costs, 2, 10.0, [&](std::size_t idx, double t0, double dur,
+                          std::size_t slot) {
+        ++seen[idx];
+        EXPECT_GE(t0, 10.0);
+        EXPECT_DOUBLE_EQ(dur, costs[idx]);
+        slots_used.push_back(slot);
+      });
+  for (const int s : seen) EXPECT_EQ(s, 1);
+  // 5 on one slot; five 1s pack onto the other: end = 10 + 5.
+  EXPECT_DOUBLE_EQ(end, 15.0);
+  EXPECT_LE(*std::max_element(slots_used.begin(), slots_used.end()), 1u);
+}
+
+// --- cluster simulator ------------------------------------------------------
 
 TEST(ClusterSim, PerfectScalingForUniformTasks) {
   const SimJob job = uniform_job(1, 1024, 1.0);
