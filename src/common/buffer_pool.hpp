@@ -1,11 +1,11 @@
 // Bounded free-list of byte buffers shared across engine tasks.
 //
-// Shuffle map tasks and persist stages encode every block into a fresh
-// std::vector, which at steady state means one large allocation (and one
-// free) per block per stage.  The pool recycles those allocations: a task
-// acquires an empty buffer that keeps the capacity of a previously
-// released one, encodes into it, and the engine returns the storage once
-// the consuming side is done with the bytes.
+// Shuffle map tasks encode every block into a fresh std::vector, which at
+// steady state means one large allocation (and one free) per block per
+// stage.  The pool recycles those allocations: a task acquires an empty
+// buffer that keeps the capacity of a previously released one, encodes
+// into it, and the engine returns the storage once the consuming side is
+// done with the bytes.
 //
 // The free list is bounded two ways, and both matter:
 //  * a buffer-count cap, so a burst of wide stages cannot park an

@@ -28,9 +28,9 @@ void atomic_write_file(const std::string& path, std::string_view contents);
 /// writes only the first `prefix_bytes` of `bytes` (clamped to the full
 /// size).  This is the torn-write fault-injection surface — it reproduces
 /// exactly what a crash mid-write under the old truncate-in-place
-/// discipline leaves behind, so tests and the chunk store's injected
-/// faults can assert torn files are *detected* rather than silently
-/// parsed short.  Never use it for real data.
+/// discipline leaves behind, so tests can assert torn files are
+/// *detected* rather than silently parsed short.  Never use it for real
+/// data.
 void write_file_prefix_for_testing(const std::string& path,
                                    std::span<const std::uint8_t> bytes,
                                    std::size_t prefix_bytes);

@@ -82,19 +82,6 @@ struct EngineConfig {
 template <typename T>
 class Dataset;
 
-/// Per-attempt context handed to map_partitions_ctx task functions.
-/// Integrity layers (e.g. SerializedDataset::materialize) need the attempt
-/// number and stage ordinal to consult the FaultInjector's deterministic
-/// per-attempt decisions; plain map functions should ignore it.
-struct TaskContext {
-  /// Partition index of this task.
-  std::size_t index = 0;
-  /// 0 on first attempts, > 0 on retries, -1 on speculative copies.
-  int attempt = 0;
-  /// Stage ordinal from FaultInjector::begin_stage (0 when no injector).
-  std::size_t ordinal = 0;
-};
-
 /// Execution context: owns the worker pool and metrics, hands out datasets.
 class Engine {
  public:
@@ -106,7 +93,7 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
   ThreadPool& pool() { return pool_; }
-  /// Recycled encode buffers for shuffle/persist blocks.
+  /// Recycled encode buffers for shuffle blocks.
   BufferPool& buffer_pool() { return buffer_pool_; }
   EngineMetrics& metrics() { return metrics_; }
   const EngineMetrics& metrics() const { return metrics_; }
@@ -167,12 +154,6 @@ class Dataset {
   Engine& engine() const { return *engine_; }
   std::size_t partition_count() const { return partitions_->size(); }
   const Partitions& partitions() const { return *partitions_; }
-  /// The shared, immutable partition storage.  Consumers (e.g.
-  /// SerializedDataset) can retain this pointer to share the data without
-  /// copying it.
-  const std::shared_ptr<Partitions>& shared_partitions() const {
-    return partitions_;
-  }
 
   std::size_t count() const {
     std::size_t n = 0;
@@ -255,8 +236,8 @@ class Dataset {
   template <typename U, typename RangeFn>
   Dataset<U> map_record_ranges(const std::string& stage_name,
                                RangeFn&& fn) const {
-    return map_partitions_ctx<U>(
-        stage_name, [&fn](const TaskContext&, const std::vector<T>& part) {
+    return map_partitions_indexed<U>(
+        stage_name, [&fn](std::size_t, const std::vector<T>& part) {
           return fn(part, std::size_t{0}, part.size());
         });
   }
@@ -280,20 +261,6 @@ class Dataset {
   template <typename U, typename Fn>
   Dataset<U> map_partitions_indexed(const std::string& stage_name,
                                     Fn&& fn) const {
-    return map_partitions_ctx<U>(
-        stage_name, [&fn](const TaskContext& ctx, const std::vector<T>& part) {
-          return fn(ctx.index, part);
-        });
-  }
-
-  /// Like map_partitions but `fn` receives a TaskContext (partition index,
-  /// attempt number, stage ordinal) alongside the partition.  This is the
-  /// hook for integrity layers that must consult the engine's FaultInjector
-  /// per attempt — the same contract applies: `fn` must be a pure function
-  /// of its inputs and may run more than once per partition.
-  template <typename U, typename Fn>
-  Dataset<U> map_partitions_ctx(const std::string& stage_name,
-                                Fn&& fn) const {
     const std::size_t n = partitions_->size();
     StageMetrics stage;
     stage.name = stage_name;
@@ -308,8 +275,8 @@ class Dataset {
     try {
       *out = execute_stage<std::vector<U>>(
           engine_->pool(), engine_->exec_policy(), injector, stage, ordinal,
-          n, /*task_offset=*/0, [&](std::size_t i, int attempt) {
-            return fn(TaskContext{i, attempt, ordinal}, (*partitions_)[i]);
+          n, /*task_offset=*/0, [&](std::size_t i, int) {
+            return fn(i, (*partitions_)[i]);
           });
     } catch (...) {
       record_stage(std::move(stage), wall, /*failed=*/true);

@@ -75,28 +75,6 @@ FaultRule FaultRule::corrupt_block(std::string stage, std::size_t map_task,
   return r;
 }
 
-FaultRule FaultRule::torn_write(std::string stage, std::size_t task,
-                                double fraction, int attempts) {
-  FaultRule r;
-  r.kind = FaultKind::kTornWrite;
-  r.stage = std::move(stage);
-  r.task = task;
-  r.fraction = fraction;
-  r.attempts = attempts;
-  return r;
-}
-
-FaultRule FaultRule::truncate_footer(std::string stage, std::size_t task,
-                                     std::size_t trunc_bytes, int attempts) {
-  FaultRule r;
-  r.kind = FaultKind::kTruncateFooter;
-  r.stage = std::move(stage);
-  r.task = task;
-  r.trunc_bytes = trunc_bytes;
-  r.attempts = attempts;
-  return r;
-}
-
 InjectedFault::InjectedFault(const std::string& stage, std::size_t task,
                              int attempt)
     : std::runtime_error("injected fault: stage '" + stage + "' task " +
@@ -207,34 +185,6 @@ double FaultInjector::planned_delay_ms(const std::string& stage,
     delay = std::max(delay, rule.delay_ms);
   }
   return delay;
-}
-
-std::optional<std::size_t> FaultInjector::damaged_write_size(
-    const std::string& stage, std::size_t ordinal, std::size_t task,
-    int attempt, std::size_t full_size) {
-  (void)ordinal;
-  std::optional<std::size_t> size;
-  for (const FaultRule& rule : rules_) {
-    if (rule.kind != FaultKind::kTornWrite &&
-        rule.kind != FaultKind::kTruncateFooter) {
-      continue;
-    }
-    if (!matches_stage(rule, stage) || !matches_attempt(rule, attempt) ||
-        !matches_task(rule.task, task)) {
-      continue;
-    }
-    std::size_t kept = full_size;
-    if (rule.kind == FaultKind::kTornWrite) {
-      kept = static_cast<std::size_t>(
-          static_cast<double>(full_size) *
-          std::clamp(rule.fraction, 0.0, 1.0));
-    } else {
-      kept = full_size > rule.trunc_bytes ? full_size - rule.trunc_bytes : 0;
-    }
-    if (!size || kept < *size) size = kept;
-  }
-  if (size) ++write_faults_;
-  return size;
 }
 
 std::optional<std::vector<std::uint8_t>> FaultInjector::corrupted_copy(

@@ -21,13 +21,6 @@
 //                     bit-flipped before decode; the reduce task detects
 //                     the damage via the block checksum and fails, which
 //                     the executor retries like any lost task.
-//  * torn_write     — a chunk-store spill writes only the leading
-//                     `fraction` of its bytes (the crash-mid-write torn
-//                     file the pre-atomic writers could produce); the
-//                     store's post-write validation detects it and the
-//                     executor rewrites the chunk from lineage.
-//  * truncate_footer— a spill drops the last `trunc_bytes` bytes, eating
-//                     (part of) the chunk footer; detected the same way.
 #pragma once
 
 #include <atomic>
@@ -49,8 +42,6 @@ enum class FaultKind {
   kFailRandom,
   kDelayTask,
   kCorruptBlock,
-  kTornWrite,
-  kTruncateFooter,
 };
 
 /// One injection rule.  Stage matching is by exact stage name (empty
@@ -68,8 +59,6 @@ struct FaultRule {
   double delay_ms = 0.0;     // kDelayTask
   std::size_t map_task = kAnyTask;  // kCorruptBlock
   std::size_t block = kAnyTask;     // kCorruptBlock
-  double fraction = 0.5;            // kTornWrite: bytes kept / total
-  std::size_t trunc_bytes = 8;      // kTruncateFooter: bytes dropped
 
   static FaultRule fail_task(std::string stage, std::size_t task,
                              int attempts = 1);
@@ -79,10 +68,6 @@ struct FaultRule {
                               double delay_ms, int attempts = 1);
   static FaultRule corrupt_block(std::string stage, std::size_t map_task,
                                  std::size_t block, int attempts = 1);
-  static FaultRule torn_write(std::string stage, std::size_t task,
-                              double fraction, int attempts = 1);
-  static FaultRule truncate_footer(std::string stage, std::size_t task,
-                                   std::size_t trunc_bytes, int attempts = 1);
 };
 
 /// Thrown by the injector when a rule fails an attempt.
@@ -165,24 +150,13 @@ class FaultInjector {
       const std::string& stage, std::size_t ordinal, std::size_t map_task,
       std::size_t block, int attempt, std::span<const std::uint8_t> bytes);
 
-  /// Bytes a chunk-store write should actually put on disk for this
-  /// attempt, when a torn_write or truncate_footer rule matches (the
-  /// smallest surviving prefix wins if several match).  std::nullopt means
-  /// write everything.  `full_size` is the intended file size.
-  std::optional<std::size_t> damaged_write_size(const std::string& stage,
-                                                std::size_t ordinal,
-                                                std::size_t task, int attempt,
-                                                std::size_t full_size);
-
   void record_injected_delay() { ++delays_; }
 
   std::size_t injected_failures() const { return failures_.load(); }
   std::size_t injected_delays() const { return delays_.load(); }
   std::size_t injected_corruptions() const { return corruptions_.load(); }
-  std::size_t injected_write_faults() const { return write_faults_.load(); }
   std::size_t total_injected() const {
-    return injected_failures() + injected_delays() + injected_corruptions() +
-           injected_write_faults();
+    return injected_failures() + injected_delays() + injected_corruptions();
   }
 
  private:
@@ -196,7 +170,6 @@ class FaultInjector {
   std::atomic<std::size_t> failures_{0};
   std::atomic<std::size_t> delays_{0};
   std::atomic<std::size_t> corruptions_{0};
-  std::atomic<std::size_t> write_faults_{0};
 };
 
 }  // namespace gpf::engine

@@ -16,8 +16,8 @@ enum class BackendKind { kInProcess, kSpill, kDistributed };
 struct BackendSpec {
   BackendKind kind = BackendKind::kInProcess;
   engine::EngineConfig engine;
-  /// Spill backend: residency byte budget (0 = GPF_STORE_BUDGET env,
-  /// else 256 MiB) and chunk directory (empty = fresh temp dir).
+  /// Spill backend: residency byte budget (0 = 256 MiB) and chunk
+  /// directory (empty = fresh temp dir).
   std::size_t store_budget = 0;
   std::string spill_directory;
   /// Distributed backend: fleet size and gpf_worker path (empty =

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -26,12 +25,7 @@ std::string resolve_spill_directory(const std::string& requested) {
 }
 
 std::size_t resolve_store_budget(std::size_t requested) {
-  if (requested != 0) return requested;
-  if (const char* env = std::getenv("GPF_STORE_BUDGET")) {
-    const unsigned long long v = std::strtoull(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return std::size_t{256} << 20;
+  return requested != 0 ? requested : std::size_t{256} << 20;
 }
 
 }  // namespace
@@ -70,11 +64,10 @@ class SpillingShuffleTransport final : public engine::ShuffleTransport {
 
     const store::ChunkData data =
         store::make_shuffle_chunk(std::move(blocks), meta);
+    // A retried/speculative attempt rewrites the chunk with bit-identical
+    // content; write() drops any resident mapping of the replaced file.
     const store::ChunkRef ref =
         store_.write(store::shuffle_chunk_name(shuffle, map_task), data);
-    // A retried/speculative attempt rewrites the chunk with bit-identical
-    // content; drop any resident mapping of the replaced file.
-    store_.residency().drop(ref.path);
 
     std::lock_guard lock(mu_);
     shuffles_.at(shuffle)[map_task] = ref.path;

@@ -30,8 +30,7 @@ struct SpillingBackendOptions {
   /// Directory shuffle chunks spill into; empty = a fresh directory under
   /// the system temp dir, removed when the backend is destroyed.
   std::string spill_directory;
-  /// Residency byte budget for mapped shuffle chunks; 0 = the
-  /// GPF_STORE_BUDGET environment variable, else 256 MiB.
+  /// Residency byte budget for mapped shuffle chunks; 0 = 256 MiB.
   std::size_t store_budget = 0;
 };
 

@@ -6,9 +6,16 @@
 #include "common/checksum.hpp"
 
 namespace gpf::store {
+namespace {
 
-void encode_chunk_into(const ChunkData& data, std::vector<std::uint8_t>& out) {
-  ByteWriter w(std::move(out));
+/// Smallest footer entry one column can take: a 1-byte name length, the
+/// encoding byte, 1-byte offset and size uvarints and the u64 checksum.
+constexpr std::size_t kMinColumnEntryBytes = 12;
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_chunk(const ChunkData& data) {
+  ByteWriter w;
   std::vector<ColumnDesc> descs;
   descs.reserve(data.columns.size());
   for (const ColumnSpec& col : data.columns) {
@@ -39,13 +46,7 @@ void encode_chunk_into(const ChunkData& data, std::vector<std::uint8_t>& out) {
   w.u64(fnv1a64(std::span<const std::uint8_t>(blob.data(), blob.size())));
   w.u32(static_cast<std::uint32_t>(blob.size()));
   w.u64(kChunkMagic);
-  out = w.take();
-}
-
-std::vector<std::uint8_t> encode_chunk(const ChunkData& data) {
-  std::vector<std::uint8_t> out;
-  encode_chunk_into(data, out);
-  return out;
+  return w.take();
 }
 
 ChunkView ChunkView::parse(std::span<const std::uint8_t> file_bytes) {
@@ -75,6 +76,10 @@ ChunkView ChunkView::parse(std::span<const std::uint8_t> file_bytes) {
     throw ChunkCorruptionError("chunk footer failed its checksum");
   }
 
+  // The checksum is unkeyed, so a crafted footer can still carry a valid
+  // one: every field below is bounded before it is trusted.
+  const std::size_t region =
+      file_bytes.size() - kChunkTrailerBytes - footer_size;
   ChunkView view;
   view.file_ = file_bytes;
   try {
@@ -86,19 +91,25 @@ ChunkView ChunkView::parse(std::span<const std::uint8_t> file_bytes) {
     }
     view.records_ = r.uvarint();
     const std::uint64_t count = r.uvarint();
+    if (count > r.remaining() / kMinColumnEntryBytes) {
+      throw ChunkFormatError("chunk footer claims " + std::to_string(count) +
+                             " columns in " + std::to_string(r.remaining()) +
+                             " bytes");
+    }
     view.columns_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
       ColumnDesc d;
       d.name = r.str();
       d.encoding = r.u8();
-      d.offset = r.uvarint();
-      d.size = r.uvarint();
+      const std::uint64_t offset = r.uvarint();
+      const std::uint64_t size = r.uvarint();
       d.checksum = r.u64();
-      if (d.offset + d.size >
-          file_bytes.size() - kChunkTrailerBytes - footer_size) {
+      if (offset > region || size > region - offset) {
         throw ChunkFormatError("column '" + d.name +
                                "' extends past the chunk's column region");
       }
+      d.offset = offset;
+      d.size = size;
       view.columns_.push_back(std::move(d));
     }
   } catch (const std::out_of_range&) {
@@ -116,17 +127,13 @@ const ColumnDesc* ChunkView::find(std::string_view name) const {
   return nullptr;
 }
 
-std::span<const std::uint8_t> ChunkView::column_raw(
-    const ColumnDesc& desc) const {
-  return file_.subspan(desc.offset, desc.size);
-}
-
 std::span<const std::uint8_t> ChunkView::column(std::string_view name) const {
   const ColumnDesc* desc = find(name);
   if (desc == nullptr) {
     throw ChunkFormatError("chunk has no column '" + std::string(name) + "'");
   }
-  const std::span<const std::uint8_t> bytes = column_raw(*desc);
+  const std::span<const std::uint8_t> bytes =
+      file_.subspan(desc->offset, desc->size);
   if (fnv1a64(bytes) != desc->checksum) {
     throw ChunkCorruptionError("column '" + std::string(name) +
                                "' failed its checksum");

@@ -19,10 +19,11 @@
 //                 u64 checksum (FNV-1a of the column bytes)
 //
 // The footer lives at the END of the file on purpose: a torn write (crash
-// mid-write under a non-atomic writer, or an injected fault) produces a
-// prefix of the file, which cannot contain a valid trailer — so tearing
-// of ANY length is detected by the cheapest possible check, before any
-// column byte is trusted.  Every block is additionally fingerprinted so a
+// mid-write under a non-atomic writer) produces a prefix of the file,
+// which cannot contain a valid trailer — so tearing of ANY length is
+// detected by the cheapest possible check, before any column byte is
+// trusted.  The footer checksum is unkeyed, so parse() also bounds every
+// footer field (column count, offsets, sizes) before trusting it.  Every block is additionally fingerprinted so a
 // flipped byte anywhere surfaces as ChunkCorruptionError, never as a
 // silently-wrong decode.  Writes go through fs::atomic_write_file, so a
 // real crash leaves either the old chunk or the new one.
@@ -72,10 +73,6 @@ struct ColumnDesc {
 /// Serializes a chunk to its complete file image.
 std::vector<std::uint8_t> encode_chunk(const ChunkData& data);
 
-/// encode_chunk into `out` (cleared, capacity reused) so spill stages can
-/// recycle encode buffers through the engine's BufferPool.
-void encode_chunk_into(const ChunkData& data, std::vector<std::uint8_t>& out);
-
 /// A validated, zero-copy view over a chunk's file image.  parse()
 /// verifies the trailer and the footer checksum; column bytes are
 /// verified on access.  The view does not own the underlying bytes.
@@ -92,10 +89,6 @@ class ChunkView {
 
   /// Finds a column by name (nullptr when absent).
   const ColumnDesc* find(std::string_view name) const;
-
-  /// The column's raw bytes without checksum validation — for callers
-  /// that validate themselves (e.g. after applying injected corruption).
-  std::span<const std::uint8_t> column_raw(const ColumnDesc& desc) const;
 
   /// The column's bytes, checksum-validated on every call.  Throws
   /// ChunkFormatError when `name` is absent and ChunkCorruptionError when

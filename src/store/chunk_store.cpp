@@ -21,28 +21,14 @@ std::string ChunkStore::chunk_path(const std::string& name) const {
 }
 
 ChunkRef ChunkStore::write(const std::string& name, const ChunkData& data) {
-  return write_encoded(name, encode_chunk(data), data.records);
-}
-
-ChunkRef ChunkStore::write_encoded(const std::string& name,
-                                   std::span<const std::uint8_t> encoded,
-                                   std::uint64_t records) {
-  ChunkRef ref{chunk_path(name), records, encoded.size()};
+  const std::vector<std::uint8_t> encoded = encode_chunk(data);
+  ChunkRef ref{chunk_path(name), data.records, encoded.size()};
   try {
     fs::atomic_write_file(ref.path, encoded);
   } catch (const std::exception& e) {
     throw ChunkIoError(e.what());
   }
   // A rewrite must not leave a stale mapping of the old file resident.
-  residency_.drop(ref.path);
-  return ref;
-}
-
-ChunkRef ChunkStore::write_torn_for_testing(
-    const std::string& name, std::span<const std::uint8_t> encoded,
-    std::uint64_t records, std::size_t prefix_bytes) {
-  ChunkRef ref{chunk_path(name), records, encoded.size()};
-  fs::write_file_prefix_for_testing(ref.path, encoded, prefix_bytes);
   residency_.drop(ref.path);
   return ref;
 }

@@ -2,10 +2,10 @@
 // memory-budgeted residency cache over them.
 //
 // Writing is atomic (temp file + rename + fsync via fs::atomic_write_file)
-// so a crash mid-spill leaves either the previous chunk or the new one —
-// never a torn file.  Torn files still occur in two sanctioned ways
-// (write_torn_for_testing, and fault-injected spills that bypass the
-// atomic path on purpose); the chunk trailer catches both at open time.
+// so a crash mid-write leaves either the previous chunk or the new one —
+// never a torn file.  A file damaged some other way (truncated or
+// overwritten outside the store) is caught by the chunk trailer at open
+// time.
 #pragma once
 
 #include <cstddef>
@@ -42,21 +42,6 @@ class ChunkStore {
 
   /// Encodes and atomically writes `data` as `<directory>/<name>.gpc`.
   ChunkRef write(const std::string& name, const ChunkData& data);
-
-  /// Atomically writes an already-encoded chunk image.  `records` is
-  /// carried into the returned ref for bookkeeping only — the file's own
-  /// footer remains the source of truth.
-  ChunkRef write_encoded(const std::string& name,
-                         std::span<const std::uint8_t> encoded,
-                         std::uint64_t records);
-
-  /// Deliberately writes only the first `prefix_bytes` of the encoded
-  /// image, in place and non-atomically — simulates a torn write for
-  /// fault tests.  Returns the ref the full write WOULD have produced.
-  ChunkRef write_torn_for_testing(const std::string& name,
-                                  std::span<const std::uint8_t> encoded,
-                                  std::uint64_t records,
-                                  std::size_t prefix_bytes);
 
   /// Opens (or returns the resident mapping of) a chunk.  The handle pins
   /// the mapping for as long as the caller holds it.

@@ -26,15 +26,15 @@ class ChunkIoError : public ChunkError {
 };
 
 /// The bytes do not parse as a chunk: missing/mismatched end magic (torn
-/// write or foreign file), truncated footer, out-of-range column extents.
+/// write or foreign file), truncated footer, out-of-range column extents
+/// or a column count the footer cannot hold.
 class ChunkFormatError : public ChunkError {
  public:
   using ChunkError::ChunkError;
 };
 
 /// The chunk parses but its content is damaged: a footer or column block
-/// whose checksum does not match, or a column that decodes to the wrong
-/// record count.
+/// whose checksum does not match.
 class ChunkCorruptionError : public ChunkError {
  public:
   using ChunkError::ChunkError;

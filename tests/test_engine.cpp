@@ -13,7 +13,6 @@
 #include "compress/record_codec.hpp"
 #include "core/processes.hpp"
 #include "engine/dataset.hpp"
-#include "engine/serialized.hpp"
 
 namespace gpf::engine {
 namespace {
@@ -403,39 +402,9 @@ TEST(Engine, SingleWorkerShuffleOrderIsDeterministic) {
 }
 
 
-TEST(SerializedDataset, PersistAndMaterializeRoundTrip) {
-  Engine engine({.worker_threads = 2});
-  std::vector<SamRecord> records;
-  for (int i = 0; i < 200; ++i) {
-    SamRecord r;
-    r.qname = "r" + std::to_string(i);
-    r.contig_id = 0;
-    r.pos = i * 10;
-    r.sequence = "ACGTACGTACGTACGT";
-    r.quality = "IIIIIIIIIIIIIIII";
-    r.cigar = {{CigarOp::kMatch, 16}};
-    records.push_back(std::move(r));
-  }
-  auto ds = engine.parallelize(records, 4);
-  const auto persisted = SerializedDataset<SamRecord>::persist(
-      ds, core::make_sam_codec(Codec::kGpf), "cache");
-  EXPECT_EQ(persisted.partition_count(), 4u);
-  EXPECT_GT(persisted.memory_bytes(), 0u);
-  const auto restored = persisted.materialize("cache").collect();
-  EXPECT_EQ(restored, records);
-  // The persist/materialize stages are in the metrics.
-  bool saw_persist = false, saw_materialize = false;
-  for (const auto& s : engine.metrics().stages()) {
-    if (s.name == "cache.persist") saw_persist = true;
-    if (s.name == "cache.materialize") saw_materialize = true;
-  }
-  EXPECT_TRUE(saw_persist);
-  EXPECT_TRUE(saw_materialize);
-}
-
-TEST(SerializedDataset, GpfSerializedFormSmallerThanLiveObjects) {
-  // The paper's memory claim: serialized storage halves memory use.
-  Engine engine({.worker_threads = 2});
+TEST(SamCodec, GpfSerializedFormSmallerThanLiveObjects) {
+  // The paper's memory claim: a partition kept as one serialized byte
+  // array takes under half the memory of the live records.
   std::vector<SamRecord> records;
   for (int i = 0; i < 500; ++i) {
     SamRecord r;
@@ -449,71 +418,11 @@ TEST(SerializedDataset, GpfSerializedFormSmallerThanLiveObjects) {
   }
   std::size_t live = 0;
   for (const auto& r : records) live += live_size(r);
-  auto ds = engine.parallelize(records, 4);
-  const auto persisted = SerializedDataset<SamRecord>::persist(
-      ds, core::make_sam_codec(Codec::kGpf), "mem");
-  EXPECT_LT(persisted.memory_bytes(), live / 2);
-}
-
-TEST(SerializedDataset, PersistWithoutCodecThrows) {
-  Engine engine({.worker_threads = 1});
-  auto ds = engine.parallelize(iota_vec(4), 2);
-  EXPECT_THROW(SerializedDataset<int>::persist(ds, {}, "x"),
-               std::invalid_argument);
-}
-
-// Regression for the zero-copy adoption audit: persist() encodes into
-// pooled buffers and adopts them into shared storage, so the buffers must
-// leave the pool for good.  Churning the pool afterwards (codec shuffles
-// acquiring and releasing buffers) must never touch the adopted bytes —
-// if BufferPool::release ever recycled live aliased storage, the next
-// acquirer would overwrite a block and the checksums recorded at persist
-// time would no longer verify.
-TEST(SerializedDataset, AdoptedBlocksSurvivePoolChurn) {
-  Engine engine({.worker_threads = 4});
-  ShuffleCodec<int> codec;
-  codec.encode = [](std::span<const int> xs) {
-    std::vector<std::uint8_t> out(xs.size() * sizeof(int));
-    if (!out.empty()) std::memcpy(out.data(), xs.data(), out.size());
-    return out;
-  };
-  codec.decode = [](std::span<const std::uint8_t> bytes) {
-    std::vector<int> out(bytes.size() / sizeof(int));
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  };
-  // Pooled encode path: persist adopts buffers acquired from the pool.
-  codec.encode_into = [](std::span<const int> xs,
-                         std::vector<std::uint8_t>& out) {
-    out.resize(xs.size() * sizeof(int));
-    if (!out.empty()) std::memcpy(out.data(), xs.data(), out.size());
-  };
-
-  auto ds = engine.parallelize(iota_vec(400), 4).with_codec(codec);
-  const auto persisted = SerializedDataset<int>::persist(ds, codec, "adopt");
-  const auto meta_before = persisted.block_meta();
-  ASSERT_EQ(meta_before.size(), 4u);
-
-  // Pool churn: every shuffle round acquires pooled buffers for its blocks
-  // and releases them after the reduce.  If any adopted block's storage
-  // were still reachable from the free list, this would scribble over it.
-  for (int round = 0; round < 3; ++round) {
-    auto shuffled =
-        ds.shuffle("churn" + std::to_string(round), 3, [](const int& x) {
-          return static_cast<std::uint64_t>(x) * 2654435761u;
-        });
-    EXPECT_EQ(shuffled.count(), 400u);
-  }
-  EXPECT_GT(engine.buffer_pool().reuse_count(), 0u);
-
-  // The adopted blocks still verify against their persist-time checksums
-  // and round-trip bit-identically.
-  const auto restored = persisted.materialize("adopt").collect();
-  EXPECT_EQ(restored, iota_vec(400));
-  for (std::size_t i = 0; i < meta_before.size(); ++i) {
-    EXPECT_EQ(persisted.block_meta()[i].checksum, meta_before[i].checksum);
-    EXPECT_EQ(persisted.block_meta()[i].records, meta_before[i].records);
-  }
+  const ShuffleCodec<SamRecord> codec = core::make_sam_codec(Codec::kGpf);
+  const std::vector<std::uint8_t> bytes =
+      codec.encode(std::span<const SamRecord>(records));
+  EXPECT_LT(bytes.size(), live / 2);
+  EXPECT_EQ(codec.decode(bytes), records);
 }
 
 // --- buffer pool ------------------------------------------------------------

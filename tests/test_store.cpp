@@ -1,20 +1,19 @@
 // Tests for the out-of-core chunk store: the on-disk chunk format and its
 // torn-write/corruption detection, the memory-budgeted residency layer,
-// the FASTQ column codec, and the spill/materialize engine integration.
+// and at-rest damage to the shuffle chunks the spilling backend writes.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
 
-#include "compress/column_codec.hpp"
-#include "engine/dataset.hpp"
+#include "common/bytes.hpp"
+#include "common/checksum.hpp"
+#include "common/fsio.hpp"
 #include "store/chunk.hpp"
 #include "store/chunk_store.hpp"
-#include "store/fastq_chunk.hpp"
 #include "store/residency.hpp"
-#include "store/spill.hpp"
+#include "store/shuffle_chunk.hpp"
 
 namespace gpf {
 namespace {
@@ -30,7 +29,6 @@ using store::ChunkView;
 using store::ColumnSpec;
 using store::MappedChunk;
 using store::ResidencyManager;
-using store::SpilledDataset;
 
 /// Temp-directory fixture; files are removed on teardown.
 class StoreTest : public ::testing::Test {
@@ -62,37 +60,19 @@ ChunkData sample_chunk(std::size_t records = 3) {
   return data;
 }
 
-/// Deterministic FASTQ batch.  N bases carry quality '#', matching the
-/// codec's escape contract (Phred 2 is what decompression restores), so
-/// round trips are bit-identical.
-std::vector<FastqRecord> make_reads(std::size_t n, std::uint64_t seed) {
-  std::uint64_t s = seed * 0x9e3779b97f4a7c15ULL + 1;
-  const auto next = [&s]() {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return s;
-  };
-  std::vector<FastqRecord> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    FastqRecord rec;
-    rec.name = "read/" + std::to_string(seed) + "/" + std::to_string(i);
-    const std::size_t len = 60 + next() % 101;
-    rec.sequence.reserve(len);
-    rec.quality.reserve(len);
-    for (std::size_t b = 0; b < len; ++b) {
-      if (next() % 100 < 3) {
-        rec.sequence.push_back('N');
-        rec.quality.push_back('#');
-      } else {
-        rec.sequence.push_back("ACGT"[next() % 4]);
-        rec.quality.push_back(static_cast<char>(33 + next() % 94));
-      }
-    }
-    out.push_back(std::move(rec));
-  }
-  return out;
+/// A chunk image over `region` zero bytes of column data whose footer
+/// blob is `footer` verbatim, under a trailer with a matching checksum —
+/// what a hostile writer can produce, since FNV-1a is unkeyed.
+std::vector<std::uint8_t> chunk_with_footer(std::size_t region,
+                                            const ByteWriter& footer) {
+  ByteWriter w;
+  for (std::size_t i = 0; i < region; ++i) w.u8(0);
+  const std::vector<std::uint8_t>& blob = footer.bytes();
+  w.raw(blob);
+  w.u64(fnv1a64(blob));
+  w.u32(static_cast<std::uint32_t>(blob.size()));
+  w.u64(store::kChunkMagic);
+  return w.take();
 }
 
 // ---------------------------------------------------------------------------
@@ -153,6 +133,33 @@ TEST(ChunkFormat, FlippedFooterByteThrowsCorruption) {
   EXPECT_THROW(ChunkView::parse(encoded), ChunkCorruptionError);
 }
 
+TEST(ChunkFormat, WrappingColumnExtentThrowsFormatError) {
+  // offset + size wraps to 4, inside the 8-byte column region; the column
+  // itself starts 4 bytes before the end of the address space.
+  ByteWriter footer;
+  footer.u32(store::kChunkVersion);
+  footer.uvarint(1);  // records
+  footer.uvarint(1);  // columns
+  footer.str("a");
+  footer.u8(0);
+  footer.uvarint(~std::uint64_t{0} - 3);  // offset 2^64 - 4
+  footer.uvarint(8);                      // size
+  footer.u64(0);
+  EXPECT_THROW(ChunkView::parse(chunk_with_footer(8, footer)),
+               ChunkFormatError);
+}
+
+TEST(ChunkFormat, HugeColumnCountThrowsFormatError) {
+  // 2^40 claimed columns with no entries behind them: rejected before any
+  // allocation sized by the count.
+  ByteWriter footer;
+  footer.u32(store::kChunkVersion);
+  footer.uvarint(0);
+  footer.uvarint(std::uint64_t{1} << 40);
+  EXPECT_THROW(ChunkView::parse(chunk_with_footer(0, footer)),
+               ChunkFormatError);
+}
+
 TEST(ChunkFormat, FlippedColumnByteThrowsCorruptionOnAccess) {
   auto encoded = store::encode_chunk(sample_chunk());
   encoded[1] ^= 0x80;  // inside column "alpha"
@@ -203,7 +210,8 @@ TEST_F(StoreTest, RewriteInvalidatesResidentMapping) {
 TEST_F(StoreTest, TornWriteIsDetectedAtOpen) {
   ChunkStore cs(ChunkStoreConfig{path("chunks"), 1 << 20});
   const auto encoded = store::encode_chunk(sample_chunk());
-  cs.write_torn_for_testing("torn", encoded, 3, encoded.size() / 2);
+  fs::write_file_prefix_for_testing(cs.chunk_path("torn"), encoded,
+                                    encoded.size() / 2);
   EXPECT_THROW(cs.open(cs.chunk_path("torn")), ChunkFormatError);
 }
 
@@ -265,187 +273,34 @@ TEST_F(StoreTest, DropForgetsButKeepsHandlesValid) {
 }
 
 // ---------------------------------------------------------------------------
-// FASTQ columns
-
-TEST(FastqColumns, RoundTripWithSpecialBases) {
-  const std::vector<FastqRecord> reads = make_reads(200, 42);
-  const FastqColumns cols =
-      encode_fastq_columns(std::span<const FastqRecord>(reads));
-  EXPECT_EQ(cols.records, reads.size());
-  EXPECT_EQ(decode_fastq_columns(cols), reads);
-}
-
-TEST(FastqColumns, EmptyBatchRoundTrips) {
-  const FastqColumns cols = encode_fastq_columns({});
-  EXPECT_EQ(cols.records, 0u);
-  EXPECT_TRUE(decode_fastq_columns(cols).empty());
-}
-
-TEST(FastqColumns, SingleRecordRoundTrips) {
-  const std::vector<FastqRecord> reads = {{"only", "NACGTN", "#III!#"}};
-  EXPECT_EQ(decode_fastq_columns(encode_fastq_columns(
-                std::span<const FastqRecord>(reads))),
-            reads);
-}
-
-TEST_F(StoreTest, FastqChunkRoundTripsThroughDisk) {
-  ChunkStore cs(ChunkStoreConfig{path("chunks"), 1 << 20});
-  const std::vector<FastqRecord> reads = make_reads(64, 7);
-  const ChunkRef ref = cs.write(
-      "reads", store::encode_fastq_chunk(std::span<const FastqRecord>(reads)));
-  const auto chunk = cs.open(ref.path);
-  store::ChunkColumns cols;
-  cols.records = chunk->view().records();
-  for (const auto& d : chunk->view().columns()) {
-    cols.columns.push_back({d.name, d.encoding, chunk->view().column(d.name)});
-  }
-  EXPECT_EQ(store::decode_fastq_chunk(cols), reads);
-}
-
-// ---------------------------------------------------------------------------
-// Spill / materialize
-
-TEST_F(StoreTest, OverBudgetSpillReloadsBitIdentical) {
-  // End-to-end acceptance: a dataset at least 2x the store's memory budget
-  // spills, evicts, reloads, and matches the in-memory run bit for bit.
-  std::size_t budget = std::size_t{16} << 10;
-  if (const char* env = std::getenv("GPF_STORE_BUDGET")) {
-    budget = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  engine::Engine eng;
-  ChunkStore cs(ChunkStoreConfig{path("chunks"), budget});
-
-  const std::vector<FastqRecord> reads = make_reads(3000, 1234);
-  auto ds = eng.parallelize(reads, 16);
-  const std::vector<FastqRecord> in_memory = ds.collect();
-
-  auto spilled =
-      SpilledDataset<FastqRecord>::spill(ds, store::fastq_chunk_codec(), cs,
-                                         "reads");
-  EXPECT_EQ(spilled.partition_count(), 16u);
-  ASSERT_GE(spilled.disk_bytes(), 2 * budget)
-      << "test data no longer exceeds the memory budget";
-
-  const auto reloaded = spilled.materialize("reads").collect();
-  EXPECT_EQ(reloaded, in_memory);
-
-  const auto stats = cs.residency().stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LT(stats.resident_chunks, spilled.partition_count());
-}
-
-TEST_F(StoreTest, TornSpillWriteIsRetriedFromLineage) {
-  engine::Engine eng;
-  eng.set_fault_injector(std::make_shared<engine::FaultInjector>(
-      7, std::vector<engine::FaultRule>{
-             engine::FaultRule::torn_write("reads.spill", 0, 0.5)}));
-  ChunkStore cs(ChunkStoreConfig{path("chunks"), 1 << 20});
-
-  const std::vector<FastqRecord> reads = make_reads(100, 5);
-  auto ds = eng.parallelize(reads, 4);
-  auto spilled = SpilledDataset<FastqRecord>::spill(
-      ds, store::fastq_chunk_codec(), cs, "reads");
-  // The first attempt of task 0 tore its write; the retry rewrote the
-  // chunk from the live partition and the stage succeeded.
-  EXPECT_EQ(eng.fault_injector()->injected_write_faults(), 1u);
-  EXPECT_EQ(spilled.materialize("reads").collect(), reads);
-}
-
-TEST_F(StoreTest, TruncatedFooterSpillIsRetriedFromLineage) {
-  engine::Engine eng;
-  eng.set_fault_injector(std::make_shared<engine::FaultInjector>(
-      7, std::vector<engine::FaultRule>{
-             engine::FaultRule::truncate_footer("reads.spill",
-                                                engine::kAnyTask, 8)}));
-  ChunkStore cs(ChunkStoreConfig{path("chunks"), 1 << 20});
-
-  const std::vector<FastqRecord> reads = make_reads(100, 6);
-  auto ds = eng.parallelize(reads, 4);
-  auto spilled = SpilledDataset<FastqRecord>::spill(
-      ds, store::fastq_chunk_codec(), cs, "reads");
-  EXPECT_EQ(eng.fault_injector()->injected_write_faults(), 4u);
-  EXPECT_EQ(spilled.materialize("reads").collect(), reads);
-}
-
-TEST_F(StoreTest, PersistentTornWriteFailsTyped) {
-  engine::Engine eng;
-  eng.set_fault_injector(std::make_shared<engine::FaultInjector>(
-      7, std::vector<engine::FaultRule>{engine::FaultRule::torn_write(
-             "reads.spill", 0, 0.5, /*attempts=*/-1)}));
-  ChunkStore cs(ChunkStoreConfig{path("chunks"), 1 << 20});
-
-  auto ds = eng.parallelize(make_reads(50, 8), 2);
-  EXPECT_THROW(SpilledDataset<FastqRecord>::spill(
-                   ds, store::fastq_chunk_codec(), cs, "reads"),
-               engine::StageFailure);
-}
-
-TEST_F(StoreTest, CorruptedColumnOnLoadIsRetried) {
-  engine::Engine eng;
-  // Column 2 is "seq"; corrupt it for partition 0's first load attempt.
-  eng.set_fault_injector(std::make_shared<engine::FaultInjector>(
-      7, std::vector<engine::FaultRule>{
-             engine::FaultRule::corrupt_block("reads.load", 0, 2)}));
-  ChunkStore cs(ChunkStoreConfig{path("chunks"), 1 << 20});
-
-  const std::vector<FastqRecord> reads = make_reads(100, 9);
-  auto ds = eng.parallelize(reads, 4);
-  auto spilled = SpilledDataset<FastqRecord>::spill(
-      ds, store::fastq_chunk_codec(), cs, "reads");
-  // The corruption lands on a copy; the retry re-reads pristine mmap
-  // bytes and succeeds.
-  EXPECT_EQ(spilled.materialize("reads").collect(), reads);
-  EXPECT_EQ(eng.fault_injector()->injected_corruptions(), 1u);
-}
-
-TEST_F(StoreTest, PersistentLoadCorruptionFailsTyped) {
-  engine::Engine eng;
-  eng.set_fault_injector(std::make_shared<engine::FaultInjector>(
-      7, std::vector<engine::FaultRule>{engine::FaultRule::corrupt_block(
-             "reads.load", 0, 2, /*attempts=*/-1)}));
-  ChunkStore cs(ChunkStoreConfig{path("chunks"), 1 << 20});
-
-  auto ds = eng.parallelize(make_reads(50, 10), 2);
-  auto spilled = SpilledDataset<FastqRecord>::spill(
-      ds, store::fastq_chunk_codec(), cs, "reads");
-  try {
-    spilled.materialize("reads").collect();
-    FAIL() << "expected StageFailure";
-  } catch (const engine::StageFailure& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
-  }
-}
+// Shuffle chunks at rest
 
 TEST_F(StoreTest, AtRestDamageSurfacesTypedNeverSilent) {
-  engine::Engine eng;
   ChunkStore cs(ChunkStoreConfig{path("chunks"), 1 << 20});
-  const std::vector<FastqRecord> reads = make_reads(100, 11);
-  auto ds = eng.parallelize(reads, 2);
-  auto spilled = SpilledDataset<FastqRecord>::spill(
-      ds, store::fastq_chunk_codec(), cs, "reads");
+  std::vector<std::vector<std::uint8_t>> blocks = {{1, 2, 3, 4, 5, 6},
+                                                   {7, 8, 9}};
+  const std::vector<engine::ShuffleBlockMeta> meta(blocks.size());
+  const ChunkRef ref = cs.write(store::shuffle_chunk_name(1, 0),
+                                store::make_shuffle_chunk(blocks, meta));
+  ASSERT_EQ(cs.open(ref.path)->view().column("b0").size(), 6u);
 
-  // Flip one column byte on disk behind the store's back, then forget the
-  // pristine resident mapping so the next open reads the damaged file.
-  const std::string victim = spilled.chunk(0).path;
+  // Flip one byte of column b0 on disk behind the store's back, then
+  // forget the pristine resident mapping so the next open reads the
+  // damaged file.
   {
-    std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream f(ref.path, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
-    f.seekp(4);
     char byte = 0;
     f.seekg(4);
     f.get(byte);
-    byte = static_cast<char>(byte ^ 0x40);
     f.seekp(4);
-    f.put(byte);
+    f.put(static_cast<char>(byte ^ 0x40));
   }
-  cs.residency().drop(victim);
+  cs.residency().drop(ref.path);
 
-  try {
-    spilled.materialize("reads").collect();
-    FAIL() << "expected StageFailure";
-  } catch (const engine::StageFailure& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
-  }
+  const auto chunk = cs.open(ref.path);  // footer intact: opens fine
+  EXPECT_THROW(chunk->view().column("b0"), ChunkCorruptionError);
+  EXPECT_NO_THROW(chunk->view().column("b1"));
 }
 
 }  // namespace
