@@ -1,13 +1,13 @@
-// The single source of truth for retry/backoff knobs.
+// The single source of truth for retry/backoff knobs over real
+// transports.
 //
-// Before this header existed every layer grew its own copies of the same
-// three numbers — the net channel had max_attempts/backoff_initial_ms/
-// backoff_max_ms, the engine's executor had max_task_retries, and ad-hoc
-// call sites (worker peer fetches, pool dispatch) re-declared attempt
-// counts inline.  They all describe one idea: how many times to try an
-// idempotent operation and how long to wait between tries.  Everything
-// that retries now consumes a RetryPolicy; layers that need different
-// defaults override the values, not the shape.
+// The net channels and the worker pool's dispatch all describe one idea:
+// how many times to try an idempotent operation and how long to wait
+// between tries.  They consume a RetryPolicy; layers that need different
+// defaults override the values, not the shape.  The engine's stage
+// executor takes only an attempt count (EngineConfig::max_task_retries
+// + 1): an in-process retry has no transport to decongest, so it never
+// backs off.
 #pragma once
 
 #include <algorithm>
@@ -18,8 +18,7 @@ struct RetryPolicy {
   /// Total attempts (first try + retries).  1 = no retry.
   int max_attempts = 3;
   /// Delay before the first retry; doubles per retry up to the cap.
-  /// 0 disables backoff (retry immediately — what the in-process engine
-  /// wants, since its "transport" cannot be congested).
+  /// 0 disables backoff (retry immediately).
   int backoff_initial_ms = 10;
   int backoff_max_ms = 500;
 

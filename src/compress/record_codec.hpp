@@ -39,8 +39,8 @@ std::vector<FastqRecord> decode_fastq_batch(
 
 /// In-place encode variants: `out` is cleared and refilled, reusing its
 /// capacity.  Output bytes are identical to the allocating overloads;
-/// these back ShuffleCodec::encode_into so pooled buffers can be reused
-/// across shuffle blocks.
+/// these back ShuffleCodec::encode so pooled buffers can be reused across
+/// shuffle blocks.
 void encode_fastq_batch_into(std::span<const FastqRecord> records, Codec codec,
                              std::vector<std::uint8_t>& out);
 void encode_fastq_pair_batch_into(std::span<const FastqPair> pairs,

@@ -8,7 +8,7 @@
 // per-stage lineage (the resources each stage consumes and defines), and
 // the codec/partitioning choices from PipelineConfig — and submits it to
 // a backend.  What varies per backend is purely *where shuffle blocks
-// live*: in driver memory (InProcessBackend), in chunk files under a
+// live*: in driver memory (EngineBackend), in chunk files under a
 // ResidencyManager budget (SpillingBackend), or in worker processes
 // (DistributedBackend).  The concrete backends live in src/exec; core
 // only defines the boundary, plus the shared driver loop every backend
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -119,17 +120,22 @@ class ExecutionBackend {
   virtual BackendStageStats counters();
 };
 
-/// The trivial backend wrapping an existing engine: no transport, blocks
-/// stay in driver memory.  This is what `Pipeline(name, Engine&, ...)`
-/// constructs, and what exec::InProcessBackend builds on.
-class EngineBackend : public ExecutionBackend {
+/// The in-process backend: no transport, blocks stay in driver memory.
+/// It either borrows an existing engine (what `Pipeline(name, Engine&,
+/// ...)` constructs) or owns one built from a config (what
+/// exec::make_backend builds for "inprocess"); both run identically.
+class EngineBackend final : public ExecutionBackend {
  public:
   explicit EngineBackend(engine::Engine& engine) : engine_(&engine) {}
+  explicit EngineBackend(engine::EngineConfig config)
+      : owned_(std::make_unique<engine::Engine>(config)),
+        engine_(owned_.get()) {}
 
   const std::string& name() const override;
   engine::Engine& engine() override { return *engine_; }
 
  private:
+  std::unique_ptr<engine::Engine> owned_;
   engine::Engine* engine_;
 };
 

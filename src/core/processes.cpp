@@ -46,9 +46,10 @@ void record_stage(PipelineContext& ctx, std::string name, double seconds,
 
 // --- RegionBundle batch codec ----------------------------------------------
 
-std::vector<std::uint8_t> encode_bundle_batch(
-    std::span<const RegionBundle> bundles, Codec codec) {
-  ByteWriter w;
+/// Encodes into `out` (cleared first, capacity reused).
+void encode_bundle_batch(std::span<const RegionBundle> bundles, Codec codec,
+                         std::vector<std::uint8_t>& out) {
+  ByteWriter w(std::move(out));
   w.u32(0x474e4442);  // "GNDB"
   w.uvarint(bundles.size());
   for (const auto& b : bundles) {
@@ -79,7 +80,7 @@ std::vector<std::uint8_t> encode_bundle_batch(
     w.uvarint(vcf.size());
     w.raw(std::span(vcf.data(), vcf.size()));
   }
-  return w.take();
+  out = w.take();
 }
 
 std::vector<RegionBundle> decode_bundle_batch(
@@ -122,13 +123,13 @@ std::vector<RegionBundle> decode_bundle_batch(
 
 engine::ShuffleCodec<RegionBundle> make_bundle_codec(Codec codec) {
   return {
-      [codec](std::span<const RegionBundle> b) {
-        return encode_bundle_batch(b, codec);
+      [codec](std::span<const RegionBundle> b,
+              std::vector<std::uint8_t>& out) {
+        encode_bundle_batch(b, codec, out);
       },
       [codec](std::span<const std::uint8_t> bytes) {
         return decode_bundle_batch(bytes, codec);
       },
-      /*encode_into=*/nullptr,  // bundles have no pooled encoder
   };
 }
 
@@ -147,42 +148,33 @@ std::uint32_t record_partition(const SamRecord& rec,
 
 engine::ShuffleCodec<FastqPair> make_fastq_pair_codec(Codec codec) {
   return {
-      [codec](std::span<const FastqPair> p) {
-        return encode_fastq_pair_batch(p, codec);
+      [codec](std::span<const FastqPair> p, std::vector<std::uint8_t>& out) {
+        encode_fastq_pair_batch_into(p, codec, out);
       },
       [codec](std::span<const std::uint8_t> bytes) {
         return decode_fastq_pair_batch(bytes, codec);
-      },
-      [codec](std::span<const FastqPair> p, std::vector<std::uint8_t>& out) {
-        encode_fastq_pair_batch_into(p, codec, out);
       },
   };
 }
 
 engine::ShuffleCodec<SamRecord> make_sam_codec(Codec codec) {
   return {
-      [codec](std::span<const SamRecord> r) {
-        return encode_sam_batch(r, codec);
+      [codec](std::span<const SamRecord> r, std::vector<std::uint8_t>& out) {
+        encode_sam_batch_into(r, codec, out);
       },
       [codec](std::span<const std::uint8_t> bytes) {
         return decode_sam_batch(bytes, codec);
-      },
-      [codec](std::span<const SamRecord> r, std::vector<std::uint8_t>& out) {
-        encode_sam_batch_into(r, codec, out);
       },
   };
 }
 
 engine::ShuffleCodec<VcfRecord> make_vcf_codec(Codec codec) {
   return {
-      [codec](std::span<const VcfRecord> r) {
-        return encode_vcf_batch(r, codec);
+      [codec](std::span<const VcfRecord> r, std::vector<std::uint8_t>& out) {
+        encode_vcf_batch_into(r, codec, out);
       },
       [codec](std::span<const std::uint8_t> bytes) {
         return decode_vcf_batch(bytes, codec);
-      },
-      [codec](std::span<const VcfRecord> r, std::vector<std::uint8_t>& out) {
-        encode_vcf_batch_into(r, codec, out);
       },
   };
 }
@@ -439,7 +431,9 @@ engine::Dataset<RegionBundle> build_region_bundles(
 
 std::size_t encoded_bundle_bytes(std::span<const RegionBundle> bundles,
                                  Codec codec) {
-  return encode_bundle_batch(bundles, codec).size();
+  std::vector<std::uint8_t> bytes;
+  encode_bundle_batch(bundles, codec, bytes);
+  return bytes.size();
 }
 
 engine::Dataset<SamRecord> flatten_bundles(

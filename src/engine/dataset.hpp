@@ -9,9 +9,10 @@
 //  * Every stage records metrics (per-task compute seconds, shuffle bytes,
 //    serialization time) so a run can be replayed on the cluster simulator
 //    at any core count.
-//  * Shuffles optionally round-trip records through a real serializer
-//    (Java-like / Kryo-like / GPF codecs), which is how the compression
-//    experiments measure bytes actually moved.
+//  * Every shuffle round-trips its records through the dataset's codec
+//    (Java-like / Kryo-like / GPF), so the bytes a stage reports are the
+//    bytes it actually moved, and every block is checksummed and
+//    count-validated on the reduce side, whatever the backend.
 //  * Stages run on a fault-tolerant executor (engine/stage_executor.hpp):
 //    failed attempts retry from their immutable inputs, retry exhaustion
 //    surfaces as a typed StageFailure, shuffle blocks are checksummed so
@@ -24,12 +25,10 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,17 +43,13 @@
 
 namespace gpf::engine {
 
-/// Serializer hooks used when a shuffle round-trips records through bytes.
+/// Serializer hooks a shuffle round-trips its records through.  `encode`
+/// fills `out` (cleared first, capacity reused), so map tasks encode into
+/// buffers recycled through the engine's BufferPool.
 template <typename T>
 struct ShuffleCodec {
-  std::function<std::vector<std::uint8_t>(std::span<const T>)> encode;
+  std::function<void(std::span<const T>, std::vector<std::uint8_t>&)> encode;
   std::function<std::vector<T>(std::span<const std::uint8_t>)> decode;
-  /// Optional in-place variant: encode into `out` (cleared first, capacity
-  /// reused).  When set, shuffle map tasks encode into buffers recycled
-  /// through the engine's BufferPool instead of allocating per block.
-  /// Must produce bytes identical to `encode`.
-  std::function<void(std::span<const T>, std::vector<std::uint8_t>&)>
-      encode_into;
 
   bool valid() const { return encode != nullptr && decode != nullptr; }
 };
@@ -63,20 +58,11 @@ struct ShuffleCodec {
 struct EngineConfig {
   /// Local worker threads executing partition tasks (0 = hardware).
   std::size_t worker_threads = 0;
-  /// When true, wide dependencies serialize every shuffle block through the
-  /// dataset's codec (if one is attached), measuring real byte volumes.
-  bool serialize_shuffle = true;
   /// Failed partition tasks are re-executed up to this many times before
   /// the stage fails (Spark re-runs lost tasks from lineage; inputs here
   /// are immutable shared partitions, so a retry is exactly a lineage
-  /// recompute).  Feeds StageExecPolicy's shared RetryPolicy as
-  /// max_attempts = max_task_retries + 1.
+  /// recompute).
   int max_task_retries = 2;
-  /// Speculative execution: under a FaultInjector, a task whose first
-  /// attempt carries an injected delay of at least
-  /// kSpeculationDelayThresholdMs gets a copy at submission time (see
-  /// engine/stage_executor.hpp).
-  bool speculation = true;
 };
 
 template <typename T>
@@ -106,22 +92,17 @@ class Engine {
   }
   FaultInjector* fault_injector() const { return injector_.get(); }
 
-  /// Attaches the physical block sink/source used by codec shuffles
-  /// (nullptr detaches, restoring the in-memory path).  Execution
-  /// backends install their transport around a plan run; the engine just
-  /// routes blocks through whatever is attached.
+  /// Attaches the physical block sink/source used by shuffles (nullptr
+  /// detaches, restoring the in-memory path).  Execution backends install
+  /// their transport around a plan run; the engine just routes blocks
+  /// through whatever is attached.
   void set_shuffle_transport(std::shared_ptr<ShuffleTransport> transport) {
     transport_ = std::move(transport);
   }
   ShuffleTransport* shuffle_transport() const { return transport_.get(); }
 
-  /// The executor-facing slice of the configuration.
-  StageExecPolicy exec_policy() const {
-    return StageExecPolicy{
-        RetryPolicy{.max_attempts = config_.max_task_retries + 1,
-                    .backoff_initial_ms = 0, .backoff_max_ms = 0},
-        config_.speculation};
-  }
+  /// Attempts a task gets before its stage fails (first try + retries).
+  int task_attempts() const { return config_.max_task_retries + 1; }
 
   /// Creates a dataset from pre-partitioned data.
   template <typename T>
@@ -171,28 +152,25 @@ class Dataset {
     return out;
   }
 
-  /// Attaches a serializer used by subsequent shuffles of this dataset.
+  /// Attaches the serializer this dataset's shuffles encode through (a
+  /// shuffle without one throws).
   Dataset with_codec(ShuffleCodec<T> codec) const {
     Dataset copy = *this;
     copy.codec_ = std::make_shared<ShuffleCodec<T>>(std::move(codec));
     return copy;
   }
 
-  const std::shared_ptr<ShuffleCodec<T>>& codec() const { return codec_; }
-
   /// Narrow transformation: element-wise map.
   template <typename Fn>
   auto map(const std::string& stage_name, Fn&& fn) const
       -> Dataset<std::decay_t<std::invoke_result_t<Fn, const T&>>> {
     using U = std::decay_t<std::invoke_result_t<Fn, const T&>>;
-    return map_record_ranges<U>(
-        stage_name, [fn](const std::vector<T>& part, std::size_t lo,
-                         std::size_t hi) {
-          std::vector<U> out;
-          out.reserve(hi - lo);
-          for (std::size_t k = lo; k < hi; ++k) out.push_back(fn(part[k]));
-          return out;
-        });
+    return map_partitions<U>(stage_name, [fn](const std::vector<T>& part) {
+      std::vector<U> out;
+      out.reserve(part.size());
+      for (const T& x : part) out.push_back(fn(x));
+      return out;
+    });
   }
 
   /// Narrow transformation: element-wise flat map.
@@ -202,44 +180,15 @@ class Dataset {
           std::invoke_result_t<Fn, const T&>>::value_type> {
     using Vec = std::decay_t<std::invoke_result_t<Fn, const T&>>;
     using U = typename Vec::value_type;
-    return map_record_ranges<U>(
-        stage_name, [fn](const std::vector<T>& part, std::size_t lo,
-                         std::size_t hi) {
-          std::vector<U> out;
-          for (std::size_t k = lo; k < hi; ++k) {
-            Vec ys = fn(part[k]);
-            out.insert(out.end(), std::make_move_iterator(ys.begin()),
-                       std::make_move_iterator(ys.end()));
-          }
-          return out;
-        });
-  }
-
-  /// Narrow transformation: keep elements satisfying `pred`.
-  template <typename Pred>
-  Dataset filter(const std::string& stage_name, Pred&& pred) const {
-    return map_record_ranges<T>(
-        stage_name, [pred](const std::vector<T>& part, std::size_t lo,
-                           std::size_t hi) {
-          std::vector<T> out;
-          for (std::size_t k = lo; k < hi; ++k) {
-            if (pred(part[k])) out.push_back(part[k]);
-          }
-          return out;
-        });
-  }
-
-  /// Narrow element-wise transformation over contiguous record ranges:
-  /// `fn(part, lo, hi)` returns the output records for part[lo, hi).
-  /// map/flat_map/filter route through here.  Each partition runs as one
-  /// task over its whole range: output partition p is fn(part_p, 0, size_p).
-  template <typename U, typename RangeFn>
-  Dataset<U> map_record_ranges(const std::string& stage_name,
-                               RangeFn&& fn) const {
-    return map_partitions_indexed<U>(
-        stage_name, [&fn](std::size_t, const std::vector<T>& part) {
-          return fn(part, std::size_t{0}, part.size());
-        });
+    return map_partitions<U>(stage_name, [fn](const std::vector<T>& part) {
+      std::vector<U> out;
+      for (const T& x : part) {
+        Vec ys = fn(x);
+        out.insert(out.end(), std::make_move_iterator(ys.begin()),
+                   std::make_move_iterator(ys.end()));
+      }
+      return out;
+    });
   }
 
   /// Narrow transformation over whole partitions.  `fn` receives the input
@@ -274,7 +223,7 @@ class Dataset {
     auto out = std::make_shared<std::vector<std::vector<U>>>();
     try {
       *out = execute_stage<std::vector<U>>(
-          engine_->pool(), engine_->exec_policy(), injector, stage, ordinal,
+          engine_->pool(), engine_->task_attempts(), injector, stage, ordinal,
           n, /*task_offset=*/0, [&](std::size_t i, int) {
             return fn(i, (*partitions_)[i]);
           });
@@ -287,19 +236,22 @@ class Dataset {
   }
 
   /// Wide transformation: redistribute every record to the output
-  /// partition chosen by `part_fn(record) % num_out`.  When the dataset
-  /// carries a codec and the engine is configured to serialize shuffles,
-  /// every block is round-tripped through bytes and the volume recorded.
-  /// Blocks carry a checksum and record count; a reduce task that reads a
+  /// partition chosen by `part_fn(record) % num_out`.  Every block is
+  /// round-tripped through the dataset's codec (a dataset without one
+  /// throws std::logic_error) and the encoded volume recorded.  Blocks
+  /// carry a checksum and record count; a reduce task that reads a
   /// corrupted block (or whose codec decodes to the wrong length) fails
   /// with ShuffleBlockError and is retried against the pristine bytes.
   template <typename PartFn>
   Dataset shuffle(const std::string& stage_name, std::size_t num_out,
                   PartFn&& part_fn) const {
     if (num_out == 0) throw std::invalid_argument("shuffle: num_out == 0");
+    if (!codec_ || !codec_->valid()) {
+      throw std::logic_error("shuffle '" + stage_name +
+                             "': dataset has no codec (attach one with "
+                             "with_codec)");
+    }
     const std::size_t n_in = partitions_->size();
-    const bool use_codec =
-        codec_ && codec_->valid() && engine_->config().serialize_shuffle;
 
     StageMetrics stage;
     stage.name = stage_name;
@@ -311,15 +263,14 @@ class Dataset {
     FaultInjector* injector = engine_->fault_injector();
     const std::size_t ordinal =
         injector ? injector->begin_stage(stage_name) : 0;
-    const StageExecPolicy policy = engine_->exec_policy();
+    const int attempts = engine_->task_attempts();
 
-    // When a transport is attached (and blocks are serialized), encoded
-    // blocks flow through it instead of parking in driver memory; the
-    // algorithm, validation and metrics below are identical either way.
-    ShuffleTransport* transport =
-        use_codec ? engine_->shuffle_transport() : nullptr;
+    // When a transport is attached, encoded blocks flow through it instead
+    // of parking in driver memory; the algorithm, validation and metrics
+    // below are identical either way.
+    ShuffleTransport* transport = engine_->shuffle_transport();
     const std::uint64_t shuffle_id =
-        transport ? transport->begin_shuffle(stage_name, n_in, num_out) : 0;
+        transport ? transport->begin_shuffle(stage_name) : 0;
 
     // Shared names for the per-block (de)serialization spans, so the
     // per-task recording sites only copy, never concatenate.
@@ -327,8 +278,7 @@ class Dataset {
     const std::string deser_name = stage_name + ".deser";
 
     struct MapOut {
-      std::vector<std::vector<T>> buckets;             // no-codec path
-      std::vector<std::vector<std::uint8_t>> encoded;  // codec path
+      std::vector<std::vector<std::uint8_t>> encoded;
       /// Integrity metadata recorded per block on the map side; kept
       /// driver-side even under a transport, so validation never trusts
       /// the transport's copy of the metadata.
@@ -342,49 +292,40 @@ class Dataset {
     std::vector<MapOut> map_outs;
     try {
       map_outs = execute_stage<MapOut>(
-          engine_->pool(), policy, injector, stage, ordinal, n_in,
+          engine_->pool(), attempts, injector, stage, ordinal, n_in,
           /*task_offset=*/0, [&](std::size_t i, int) {
-            MapOut out;
-            out.buckets.resize(num_out);
+            std::vector<std::vector<T>> buckets(num_out);
             for (const auto& x : (*partitions_)[i]) {
-              out.buckets[part_fn(x) % num_out].push_back(x);
+              buckets[part_fn(x) % num_out].push_back(x);
             }
-            if (use_codec) {
-              Timer ser;
-              trace::ScopedSpan ser_span(ser_name,
-                                         trace::SpanKind::kShuffleSer,
-                                         static_cast<std::int64_t>(i));
-              out.encoded.resize(num_out);
-              out.meta.resize(num_out);
-              for (std::size_t b = 0; b < num_out; ++b) {
-                const std::span<const T> bucket(out.buckets[b].data(),
-                                                out.buckets[b].size());
-                if (codec_->encode_into) {
-                  // Encode into a recycled buffer: steady-state shuffles
-                  // stop allocating one fresh vector per block.
-                  std::vector<std::uint8_t> buf =
-                      engine_->buffer_pool().acquire();
-                  codec_->encode_into(bucket, buf);
-                  out.encoded[b] = std::move(buf);
-                } else {
-                  out.encoded[b] = codec_->encode(bucket);
-                }
-                out.meta[b] = {shuffle_block_checksum(out.encoded[b]),
-                               out.buckets[b].size(), out.encoded[b].size()};
-                out.write_bytes += out.encoded[b].size();
-                out.buckets[b].clear();
-                out.buckets[b].shrink_to_fit();
-              }
-              out.ser_seconds = ser.seconds();
-              if (transport) {
-                // Hand the bytes to the physical layer; the meta stays
-                // here for reduce-side validation.  A transport failure
-                // fails this attempt, and the executor's retry re-encodes
-                // from the immutable input partition (lineage recompute).
-                transport->put_map_output(shuffle_id, i,
-                                          std::move(out.encoded), out.meta);
-                out.encoded.clear();
-              }
+            MapOut out;
+            Timer ser;
+            trace::ScopedSpan ser_span(ser_name, trace::SpanKind::kShuffleSer,
+                                       static_cast<std::int64_t>(i));
+            out.encoded.resize(num_out);
+            out.meta.resize(num_out);
+            for (std::size_t b = 0; b < num_out; ++b) {
+              // Encode into a recycled buffer: steady-state shuffles stop
+              // allocating one fresh vector per block.
+              out.encoded[b] = engine_->buffer_pool().acquire();
+              codec_->encode(
+                  std::span<const T>(buckets[b].data(), buckets[b].size()),
+                  out.encoded[b]);
+              out.meta[b] = {shuffle_block_checksum(out.encoded[b]),
+                             buckets[b].size(), out.encoded[b].size()};
+              out.write_bytes += out.encoded[b].size();
+              buckets[b].clear();
+              buckets[b].shrink_to_fit();
+            }
+            out.ser_seconds = ser.seconds();
+            if (transport) {
+              // Hand the bytes to the physical layer; the meta stays here
+              // for reduce-side validation.  A transport failure fails
+              // this attempt, and the executor's retry re-encodes from the
+              // immutable input partition (lineage recompute).
+              transport->put_map_output(shuffle_id, i, std::move(out.encoded),
+                                        out.meta);
+              out.encoded.clear();
             }
             return out;
           });
@@ -406,62 +347,55 @@ class Dataset {
     std::vector<ReduceOut> reduce_outs;
     try {
       reduce_outs = execute_stage<ReduceOut>(
-          engine_->pool(), policy, injector, stage, ordinal, num_out,
+          engine_->pool(), attempts, injector, stage, ordinal, num_out,
           /*task_offset=*/n_in, [&](std::size_t b, int attempt) {
             ReduceOut out;
-            if (use_codec) {
-              Timer ser;
-              trace::ScopedSpan deser_span(
-                  deser_name, trace::SpanKind::kShuffleDeser,
-                  static_cast<std::int64_t>(n_in + b));
-              for (std::size_t i = 0; i < n_in; ++i) {
-                const ShuffleBlockMeta& meta = map_outs[i].meta[b];
-                ShuffleBlockHandle handle;
-                std::span<const std::uint8_t> block;
-                if (transport) {
-                  handle = transport->fetch_block(shuffle_id, i, b);
-                  block = handle.bytes;
-                } else {
-                  const auto& encoded = map_outs[i].encoded[b];
-                  block = std::span<const std::uint8_t>(encoded.data(),
-                                                        encoded.size());
-                }
-                out.read_bytes += block.size();
-                std::optional<std::vector<std::uint8_t>> corrupted;
-                if (injector) {
-                  corrupted = injector->corrupted_copy(stage_name, ordinal,
-                                                       i, b, attempt, block);
-                  if (corrupted) {
-                    corruptions.fetch_add(1);
-                    block = std::span<const std::uint8_t>(corrupted->data(),
-                                                          corrupted->size());
-                  }
-                }
-                if (shuffle_block_checksum(block) != meta.checksum) {
-                  throw ShuffleBlockError(
-                      "shuffle block " + std::to_string(i) + "->" +
-                      std::to_string(b) + " of stage '" + stage_name +
-                      "' failed its checksum");
-                }
-                auto records = codec_->decode(block);
-                if (records.size() != meta.records) {
-                  throw ShuffleBlockError(
-                      "shuffle block " + std::to_string(i) + "->" +
-                      std::to_string(b) + " of stage '" + stage_name +
-                      "' decoded to " + std::to_string(records.size()) +
-                      " records, expected " + std::to_string(meta.records));
-                }
-                out.records.insert(out.records.end(),
-                                   std::make_move_iterator(records.begin()),
-                                   std::make_move_iterator(records.end()));
+            Timer ser;
+            trace::ScopedSpan deser_span(deser_name,
+                                         trace::SpanKind::kShuffleDeser,
+                                         static_cast<std::int64_t>(n_in + b));
+            for (std::size_t i = 0; i < n_in; ++i) {
+              const ShuffleBlockMeta& meta = map_outs[i].meta[b];
+              ShuffleBlockHandle handle;
+              std::span<const std::uint8_t> block;
+              if (transport) {
+                handle = transport->fetch_block(shuffle_id, i, b);
+                block = handle.bytes;
+              } else {
+                const auto& encoded = map_outs[i].encoded[b];
+                block = std::span<const std::uint8_t>(encoded.data(),
+                                                      encoded.size());
               }
-              out.ser_seconds = ser.seconds();
-            } else {
-              for (std::size_t i = 0; i < n_in; ++i) {
-                const auto& blk = map_outs[i].buckets[b];
-                out.records.insert(out.records.end(), blk.begin(), blk.end());
+              out.read_bytes += block.size();
+              std::optional<std::vector<std::uint8_t>> corrupted;
+              if (injector) {
+                corrupted = injector->corrupted_copy(stage_name, ordinal, i, b,
+                                                     attempt, block);
+                if (corrupted) {
+                  corruptions.fetch_add(1);
+                  block = std::span<const std::uint8_t>(corrupted->data(),
+                                                        corrupted->size());
+                }
               }
+              if (shuffle_block_checksum(block) != meta.checksum) {
+                throw ShuffleBlockError(
+                    "shuffle block " + std::to_string(i) + "->" +
+                    std::to_string(b) + " of stage '" + stage_name +
+                    "' failed its checksum");
+              }
+              auto records = codec_->decode(block);
+              if (records.size() != meta.records) {
+                throw ShuffleBlockError(
+                    "shuffle block " + std::to_string(i) + "->" +
+                    std::to_string(b) + " of stage '" + stage_name +
+                    "' decoded to " + std::to_string(records.size()) +
+                    " records, expected " + std::to_string(meta.records));
+              }
+              out.records.insert(out.records.end(),
+                                 std::make_move_iterator(records.begin()),
+                                 std::make_move_iterator(records.end()));
             }
+            out.ser_seconds = ser.seconds();
             return out;
           });
     } catch (...) {
@@ -486,175 +420,21 @@ class Dataset {
       stage.shuffle_read_bytes += r.read_bytes;
       stage.serialization_seconds += r.ser_seconds;
     }
-    if (use_codec) {
-      // All reduce attempts (including speculative copies) are done, so
-      // the blocks can be released — to the transport, or (in-memory
-      // path) recycled through the buffer pool for the next stage.
-      if (transport) {
-        transport->end_shuffle(shuffle_id);
-      } else {
-        for (auto& m : map_outs) {
-          for (auto& blk : m.encoded) {
-            engine_->buffer_pool().release(std::move(blk));
-          }
+    // All reduce attempts (including speculative copies) are done, so the
+    // blocks can be released — to the transport, or (in-memory path)
+    // recycled through the buffer pool for the next stage.
+    if (transport) {
+      transport->end_shuffle(shuffle_id);
+    } else {
+      for (auto& m : map_outs) {
+        for (auto& blk : m.encoded) {
+          engine_->buffer_pool().release(std::move(blk));
         }
       }
-    }
-    if (!use_codec) {
-      // Without a codec we still estimate moved volume from record count
-      // times a nominal record size so redundancy metrics stay comparable.
-      std::uint64_t records_moved = 0;
-      for (const auto& m : map_outs) {
-        for (const auto& blk : m.buckets) records_moved += blk.size();
-      }
-      stage.shuffle_write_bytes = records_moved * sizeof(T);
-      stage.shuffle_read_bytes = stage.shuffle_write_bytes;
-      stage.shuffle_records = records_moved;
     }
     record_stage(std::move(stage), wall, /*failed=*/false);
 
     Dataset result(engine_, std::move(out));
-    result.codec_ = codec_;
-    return result;
-  }
-
-  /// Wide transformation: groups records by key; each output partition
-  /// holds complete groups.
-  template <typename KeyFn>
-  auto group_by(const std::string& stage_name, std::size_t num_out,
-                KeyFn&& key_fn) const
-      -> Dataset<std::pair<std::decay_t<std::invoke_result_t<KeyFn, const T&>>,
-                           std::vector<T>>> {
-    using K = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
-    auto shuffled = shuffle(stage_name, num_out, [key_fn](const T& x) {
-      return std::hash<K>{}(key_fn(x));
-    });
-    return shuffled.template map_partitions<std::pair<K, std::vector<T>>>(
-        stage_name + ".group", [key_fn](const std::vector<T>& part) {
-          std::unordered_map<K, std::vector<T>> groups;
-          for (const auto& x : part) groups[key_fn(x)].push_back(x);
-          std::vector<std::pair<K, std::vector<T>>> out;
-          out.reserve(groups.size());
-          for (auto& [k, v] : groups) out.emplace_back(k, std::move(v));
-          return out;
-        });
-  }
-
-  /// Wide transformation: inner hash join with `other` on matching keys.
-  /// Both sides co-shuffle to `num_out` partitions by key hash, then each
-  /// output partition pairs every left record with every right record
-  /// sharing its key (Spark's join semantics, including duplicate keys).
-  template <typename U, typename KeyFn, typename OtherKeyFn>
-  auto join(const std::string& stage_name, const Dataset<U>& other,
-            std::size_t num_out, KeyFn&& key_fn,
-            OtherKeyFn&& other_key_fn) const
-      -> Dataset<std::pair<std::decay_t<std::invoke_result_t<KeyFn, const T&>>,
-                           std::pair<T, U>>> {
-    using K = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
-    static_assert(
-        std::is_same_v<
-            K, std::decay_t<std::invoke_result_t<OtherKeyFn, const U&>>>,
-        "join: both key extractors must produce the same key type");
-    if (num_out == 0) throw std::invalid_argument("join: num_out == 0");
-    auto left = shuffle(stage_name + ".left", num_out, [key_fn](const T& x) {
-      return std::hash<K>{}(key_fn(x));
-    });
-    auto right = other.shuffle(stage_name + ".right", num_out,
-                               [other_key_fn](const U& y) {
-                                 return std::hash<K>{}(other_key_fn(y));
-                               });
-    const auto right_parts = right.partitions_;
-    return left.template map_partitions_indexed<std::pair<K, std::pair<T, U>>>(
-        stage_name + ".join",
-        [key_fn, other_key_fn, right_parts](std::size_t pid,
-                                            const std::vector<T>& lpart) {
-          std::unordered_map<K, std::vector<const U*>> index;
-          for (const U& y : (*right_parts)[pid]) {
-            index[other_key_fn(y)].push_back(&y);
-          }
-          std::vector<std::pair<K, std::pair<T, U>>> out;
-          for (const T& x : lpart) {
-            const auto it = index.find(key_fn(x));
-            if (it == index.end()) continue;
-            for (const U* y : it->second) {
-              out.emplace_back(it->first, std::make_pair(x, *y));
-            }
-          }
-          return out;
-        });
-  }
-
-  /// Wide transformation: global sort by `key_fn`'s value using sampled
-  /// range partitioning (Spark's sortBy): sample keys, pick splitters,
-  /// route each record to its key range, sort locally.  Output partitions
-  /// concatenate to a globally sorted sequence.
-  template <typename KeyFn>
-  Dataset sort_by(const std::string& stage_name, std::size_t num_out,
-                  KeyFn&& key_fn) const {
-    using K = std::decay_t<std::invoke_result_t<KeyFn, const T&>>;
-    if (num_out == 0) throw std::invalid_argument("sort_by: num_out == 0");
-
-    // Sample candidate splitters from every partition.
-    std::vector<K> samples;
-    for (const auto& part : *partitions_) {
-      const std::size_t stride = std::max<std::size_t>(1, part.size() / 32);
-      for (std::size_t i = 0; i < part.size(); i += stride) {
-        samples.push_back(key_fn(part[i]));
-      }
-    }
-    std::sort(samples.begin(), samples.end());
-    std::vector<K> splitters;
-    for (std::size_t s = 1; s < num_out && !samples.empty(); ++s) {
-      splitters.push_back(samples[s * samples.size() / num_out]);
-    }
-
-    auto ranged = shuffle(stage_name, num_out, [key_fn, splitters](const T& x) {
-      const auto it = std::upper_bound(splitters.begin(), splitters.end(),
-                                       key_fn(x));
-      return static_cast<std::uint64_t>(
-          std::distance(splitters.begin(), it));
-    });
-    return ranged.template map_partitions<T>(
-        stage_name + ".local_sort", [key_fn](const std::vector<T>& part) {
-          std::vector<T> out = part;
-          std::stable_sort(out.begin(), out.end(),
-                           [&key_fn](const T& a, const T& b) {
-                             return key_fn(a) < key_fn(b);
-                           });
-          return out;
-        });
-  }
-
-  /// Narrow transformation: merges partitions down to `num_out` without a
-  /// shuffle (Spark's coalesce): adjacent input partitions concatenate.
-  Dataset coalesce(const std::string& stage_name, std::size_t num_out) const {
-    if (num_out == 0) throw std::invalid_argument("coalesce: num_out == 0");
-    const std::size_t n_in = partitions_->size();
-    if (num_out >= n_in) return *this;
-    std::vector<std::vector<T>> merged(num_out);
-    for (std::size_t i = 0; i < n_in; ++i) {
-      const std::size_t dest = i * num_out / n_in;
-      merged[dest].insert(merged[dest].end(), (*partitions_)[i].begin(),
-                          (*partitions_)[i].end());
-    }
-    StageMetrics stage;
-    stage.name = stage_name;
-    stage.task_count = num_out;
-    stage.task_seconds.assign(num_out, 0.0);
-    engine_->metrics().add_stage(std::move(stage));
-    Dataset result(engine_,
-                   std::make_shared<Partitions>(std::move(merged)));
-    result.codec_ = codec_;
-    return result;
-  }
-
-  /// Concatenates this dataset's partitions with `other`'s (Spark's
-  /// union: no shuffle, partition lists append).
-  Dataset union_with(const Dataset& other) const {
-    std::vector<std::vector<T>> parts = *partitions_;
-    parts.insert(parts.end(), other.partitions_->begin(),
-                 other.partitions_->end());
-    Dataset result(engine_, std::make_shared<Partitions>(std::move(parts)));
     result.codec_ = codec_;
     return result;
   }
@@ -676,7 +456,7 @@ class Dataset {
     std::vector<U> partials;
     try {
       partials = execute_stage<U>(
-          engine_->pool(), engine_->exec_policy(), injector, stage, ordinal,
+          engine_->pool(), engine_->task_attempts(), injector, stage, ordinal,
           n, /*task_offset=*/0, [&](std::size_t i, int) {
             U acc = init;
             for (const auto& x : (*partitions_)[i]) {
@@ -695,9 +475,6 @@ class Dataset {
   }
 
  private:
-  template <typename U>
-  friend class Dataset;
-
   /// Stamps the wall time and files the stage with the engine — also for
   /// failed stages, so chaos runs can audit retry/fault accounting.
   void record_stage(StageMetrics&& stage, const Timer& wall,

@@ -67,16 +67,11 @@ class ShuffleTransport {
  public:
   virtual ~ShuffleTransport() = default;
 
-  /// Short name for reports ("memory", "spill", "distributed").
-  virtual const char* name() const = 0;
-
   /// Registers one wide stage; the returned id scopes its blocks.  Called
   /// once per shuffle, before any map task deposits.
-  virtual std::uint64_t begin_shuffle(const std::string& stage,
-                                      std::size_t n_map,
-                                      std::size_t n_reduce) = 0;
+  virtual std::uint64_t begin_shuffle(const std::string& stage) = 0;
 
-  /// Deposits one map task's encoded blocks (exactly n_reduce of them, in
+  /// Deposits one map task's encoded blocks (one per reduce partition, in
   /// reduce-partition order).  May be called more than once for the same
   /// map task (retry or speculative copy that lost the claim race); the
   /// bytes are bit-identical, so last-write-wins is correct.  Throwing

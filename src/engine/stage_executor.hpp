@@ -4,12 +4,12 @@
 // reduce side, aggregates — goes through execute_stage(), which adds three
 // behaviours on top of the plain parallel loop the engine used to have:
 //
-//  * Retries: an attempt that throws is re-executed in place (the input
-//    partitions are immutable shared state, so a retry is exactly a
-//    lineage recompute) up to max_retries times; exhaustion surfaces as a
-//    typed StageFailure carrying stage/task/attempt context, and the
-//    partially-executed stage is still recorded in the metrics with
-//    `failed = true`.
+//  * Retries: an attempt that throws is re-executed in place, with no
+//    backoff (the input partitions are immutable shared state, so a retry
+//    is exactly a lineage recompute) until the task has used max_attempts
+//    attempts; exhaustion surfaces as a typed StageFailure carrying
+//    stage/task/attempt context, and the partially-executed stage is
+//    still recorded in the metrics with `failed = true`.
 //
 //  * Fault injection: when the engine carries a FaultInjector, each
 //    attempt first serves any planned straggler delay, then asks the
@@ -41,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/retry.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
@@ -53,20 +52,6 @@ namespace gpf::engine {
 /// Injected first-attempt delays at or above this launch a speculative
 /// copy at submission time (paper Sec 4.4 / Spark's spark.speculation).
 inline constexpr double kSpeculationDelayThresholdMs = 20.0;
-
-/// The slice of EngineConfig the executor needs (kept separate so this
-/// header does not depend on dataset.hpp).  Task attempts share the same
-/// RetryPolicy shape the net channels use; the engine defaults backoff to
-/// zero because an in-process retry has no transport to decongest.
-struct StageExecPolicy {
-  RetryPolicy retry{.max_attempts = 3, .backoff_initial_ms = 0,
-                    .backoff_max_ms = 0};
-  /// Speculative copies for injected stragglers (EngineConfig::speculation).
-  bool speculation = true;
-
-  /// Retries after the first attempt (EngineConfig::max_task_retries).
-  int max_retries() const { return retry.retries(); }
-};
 
 namespace detail {
 
@@ -83,8 +68,9 @@ inline std::string current_exception_message() {
 
 }  // namespace detail
 
-/// Runs `fn(task, attempt)` for every task in [0, n_tasks), with retries,
-/// fault injection and speculation as described above.  Task identity seen
+/// Runs `fn(task, attempt)` for every task in [0, n_tasks), with up to
+/// `max_attempts` attempts per task (Engine::task_attempts()), fault
+/// injection and speculation as described above.  Task identity seen
 /// by the injector and by StageFailure is `task_offset + task` (a wide
 /// stage's reduce tasks are offset past its map tasks).  On success the
 /// per-task results are returned in order and `stage`'s task_seconds
@@ -92,7 +78,7 @@ inline std::string current_exception_message() {
 /// speculation counters are filled in; on exhaustion the counters are
 /// still accumulated before StageFailure propagates.
 template <typename U, typename Fn>
-std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
+std::vector<U> execute_stage(ThreadPool& pool, int max_attempts,
                              FaultInjector* injector, StageMetrics& stage,
                              std::size_t ordinal, std::size_t n_tasks,
                              std::size_t task_offset, Fn&& fn) {
@@ -179,7 +165,7 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
           injected.fetch_add(1);
         } catch (...) {
         }
-        if (attempt >= policy.max_retries()) {
+        if (attempt + 1 >= max_attempts) {
           auto failure = std::make_exception_ptr(
               StageFailure(name, task_offset + i, attempt + 1,
                            detail::current_exception_message()));
@@ -190,15 +176,6 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
           return;
         }
         retried.fetch_add(1);
-        if (policy.retry.backoff_initial_ms > 0) {
-          // Backoff between attempts (off by default in-process; backends
-          // whose retries hit real transports opt in).
-          int backoff = policy.retry.backoff_initial_ms;
-          for (int past = 0; past < attempt; ++past) {
-            backoff = policy.retry.next_backoff(backoff);
-          }
-          wait_cancelled(backoff, i);
-        }
       }
     }
   };
@@ -242,7 +219,7 @@ std::vector<U> execute_stage(ThreadPool& pool, const StageExecPolicy& policy,
       injector->record_injected_delay();
     }
     submit([&primary, i] { primary(i); });
-    if (policy.speculation && planned_delay >= kSpeculationDelayThresholdMs) {
+    if (planned_delay >= kSpeculationDelayThresholdMs) {
       speculative.fetch_add(1);
       submit([&speculative_copy, i] { speculative_copy(i); });
     }

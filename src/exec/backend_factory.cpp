@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "exec/distributed_backend.hpp"
-#include "exec/inprocess_backend.hpp"
 #include "exec/spilling_backend.hpp"
 
 namespace gpf::exec {
@@ -71,7 +70,7 @@ std::unique_ptr<core::ExecutionBackend> make_backend(const BackendSpec& spec) {
     case BackendKind::kInProcess:
       break;
   }
-  return std::make_unique<InProcessBackend>(spec.engine);
+  return std::make_unique<core::EngineBackend>(spec.engine);
 }
 
 void consume_backend_flags(int& argc, char** argv, BackendSpec& spec) {

@@ -38,12 +38,7 @@ class DistributedShuffleTransport final : public engine::ShuffleTransport {
     push_hook_ = std::move(hook);
   }
 
-  const char* name() const override { return "distributed"; }
-
-  std::uint64_t begin_shuffle(const std::string& stage, std::size_t n_map,
-                              std::size_t n_reduce) override {
-    (void)n_map;
-    (void)n_reduce;
+  std::uint64_t begin_shuffle(const std::string& stage) override {
     std::lock_guard lock(mu_);
     const std::uint64_t id = next_id_++;
     auto& sh = shuffles_[id];
@@ -105,8 +100,7 @@ class DistributedShuffleTransport final : public engine::ShuffleTransport {
     const runtime::BlockId id{ns, map_task, reduce_part};
     if (pool_.alive(owner)) {
       try {
-        return wrap(runtime::fetch_block_over_wire(port, id, fetch_channel_),
-                    reduce_part);
+        return wrap(runtime::fetch_block_over_wire(port, id, fetch_channel_));
       } catch (const runtime::MissingBlockError&) {
         // Owner died (or lost the block) between push and fetch: repair
         // from the lineage cache below.
@@ -133,8 +127,7 @@ class DistributedShuffleTransport final : public engine::ShuffleTransport {
       entry.owner = worker;
       entry.port = new_port;
     }
-    return wrap(runtime::fetch_block_over_wire(new_port, id, fetch_channel_),
-                reduce_part);
+    return wrap(runtime::fetch_block_over_wire(new_port, id, fetch_channel_));
   }
 
   void end_shuffle(std::uint64_t shuffle) noexcept override {
@@ -216,9 +209,7 @@ class DistributedShuffleTransport final : public engine::ShuffleTransport {
 
   /// Adapts a fetched StoredBlock to a transport handle: the block's
   /// shared bytes are the pin.
-  engine::ShuffleBlockHandle wrap(runtime::StoredBlock block,
-                                  std::size_t reduce_part) {
-    (void)reduce_part;
+  engine::ShuffleBlockHandle wrap(runtime::StoredBlock block) {
     engine::ShuffleBlockHandle handle;
     handle.bytes = std::span<const std::uint8_t>(block.bytes->data(),
                                                  block.bytes->size());

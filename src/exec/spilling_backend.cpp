@@ -40,13 +40,7 @@ class SpillingShuffleTransport final : public engine::ShuffleTransport {
   explicit SpillingShuffleTransport(store::ChunkStore& store)
       : store_(store) {}
 
-  const char* name() const override { return "spill"; }
-
-  std::uint64_t begin_shuffle(const std::string& stage, std::size_t n_map,
-                              std::size_t n_reduce) override {
-    (void)stage;
-    (void)n_map;
-    (void)n_reduce;
+  std::uint64_t begin_shuffle(const std::string&) override {
     std::lock_guard lock(mu_);
     const std::uint64_t id = next_id_++;
     shuffles_[id];

@@ -5,14 +5,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
+#include <map>
 #include <numeric>
 #include <thread>
 
-#include "common/rng.hpp"
 #include "compress/record_codec.hpp"
 #include "core/processes.hpp"
 #include "engine/dataset.hpp"
+#include "test_codecs.hpp"
 
 namespace gpf::engine {
 namespace {
@@ -56,16 +56,10 @@ TEST(Engine, FlatMapExpands) {
   EXPECT_EQ(expanded.count(), 20u);
 }
 
-TEST(Engine, FilterKeepsMatching) {
-  Engine engine({.worker_threads = 2});
-  auto ds = engine.parallelize(iota_vec(100), 4);
-  auto evens = ds.filter("evens", [](const int& x) { return x % 2 == 0; });
-  EXPECT_EQ(evens.count(), 50u);
-}
-
 TEST(Engine, ShuffleRedistributesByKey) {
   Engine engine({.worker_threads = 4});
-  auto ds = engine.parallelize(iota_vec(1000), 7);
+  auto ds = engine.parallelize(iota_vec(1000), 7)
+                .with_codec(tests::pod_codec<int>());
   auto shuffled = ds.shuffle("bykey", 10, [](const int& x) {
     return static_cast<std::uint64_t>(x % 10);
   });
@@ -80,23 +74,6 @@ TEST(Engine, ShuffleRedistributesByKey) {
   }
 }
 
-TEST(Engine, GroupByProducesCompleteGroups) {
-  Engine engine({.worker_threads = 4});
-  auto ds = engine.parallelize(iota_vec(100), 5);
-  auto grouped = ds.group_by("group", 4, [](const int& x) { return x % 7; });
-  std::size_t total = 0;
-  std::size_t groups = 0;
-  for (const auto& part : grouped.partitions()) {
-    for (const auto& [key, members] : part) {
-      ++groups;
-      total += members.size();
-      for (const int m : members) EXPECT_EQ(m % 7, key);
-    }
-  }
-  EXPECT_EQ(groups, 7u);
-  EXPECT_EQ(total, 100u);
-}
-
 TEST(Engine, AggregateSums) {
   Engine engine({.worker_threads = 4});
   auto ds = engine.parallelize(iota_vec(101), 8);
@@ -108,7 +85,8 @@ TEST(Engine, AggregateSums) {
 
 TEST(Engine, MetricsRecordStages) {
   Engine engine({.worker_threads = 2});
-  auto ds = engine.parallelize(iota_vec(10), 2);
+  auto ds = engine.parallelize(iota_vec(10), 2)
+                .with_codec(tests::pod_codec<int>());
   ds.map("stage_a", [](const int& x) { return x; });
   ds.shuffle("stage_b", 2, [](const int& x) {
     return static_cast<std::uint64_t>(x);
@@ -122,7 +100,7 @@ TEST(Engine, MetricsRecordStages) {
 }
 
 TEST(Engine, ShuffleWithCodecMeasuresBytesAndRoundTrips) {
-  Engine engine({.worker_threads = 2, .serialize_shuffle = true});
+  Engine engine({.worker_threads = 2});
   std::vector<SamRecord> records;
   for (int i = 0; i < 100; ++i) {
     SamRecord r;
@@ -146,15 +124,6 @@ TEST(Engine, ShuffleWithCodecMeasuresBytesAndRoundTrips) {
   // Records survive the byte round trip.
   auto all = shuffled.collect();
   EXPECT_EQ(all.size(), 100u);
-}
-
-TEST(Engine, SerializeShuffleOffStillEstimatesBytes) {
-  Engine engine({.worker_threads = 2, .serialize_shuffle = false});
-  auto ds = engine.parallelize(iota_vec(100), 4);
-  ds.shuffle("ints", 2,
-             [](const int& x) { return static_cast<std::uint64_t>(x); });
-  const auto& stage = engine.metrics().stages().back();
-  EXPECT_EQ(stage.shuffle_write_bytes, 100 * sizeof(int));
 }
 
 TEST(Engine, MapPartitionsIndexedSeesIndices) {
@@ -305,46 +274,73 @@ TEST(Engine, ExhaustionThrowsStageFailureWithContext) {
   }
 }
 
-TEST(Engine, EmptyPartitionsFlowThroughGroupBy) {
+TEST(Engine, ShuffleWithoutCodecThrows) {
+  // Every shuffle block is encoded, checksummed and count-validated, so a
+  // dataset without a codec cannot shuffle: the error names the stage, and
+  // no stage is recorded.
   Engine engine({.worker_threads = 2});
-  auto empty = engine.parallelize(std::vector<int>{}, 4);
+  auto ds = engine.parallelize(iota_vec(10), 2);
+  try {
+    ds.shuffle("codecless", 2,
+               [](const int& x) { return static_cast<std::uint64_t>(x); });
+    FAIL() << "expected std::logic_error";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("codecless"), std::string::npos);
+  }
+  EXPECT_EQ(engine.metrics().stage_count(), 0u);
+}
+
+TEST(Engine, EmptyPartitionsFlowThroughGroupBy) {
+  // The pipeline groups by shuffling on the key and then collecting each
+  // reduce partition; empty inputs must flow through to empty groups.
+  Engine engine({.worker_threads = 2});
+  auto empty = engine.parallelize(std::vector<int>{}, 4)
+                   .with_codec(tests::pod_codec<int>());
   EXPECT_EQ(empty.count(), 0u);
-  auto grouped =
-      empty.group_by("empty_groups", 3, [](const int& x) { return x % 3; });
+  auto shuffled = empty.shuffle(
+      "empty_groups", 3,
+      [](const int& x) { return static_cast<std::uint64_t>(x % 3); });
+  const auto& stage = engine.metrics().stages().back();
+  EXPECT_EQ(stage.task_count, 7u);  // 4 map + 3 reduce tasks
+  EXPECT_EQ(stage.shuffle_records, 0u);
+  auto grouped = shuffled.map_partitions<std::vector<int>>(
+      "empty_groups.collect", [](const std::vector<int>& part) {
+        std::map<int, std::vector<int>> groups;
+        for (const int x : part) groups[x % 3].push_back(x);
+        std::vector<std::vector<int>> out;
+        for (auto& [k, g] : groups) out.push_back(std::move(g));
+        return out;
+      });
   EXPECT_EQ(grouped.partition_count(), 3u);
   EXPECT_EQ(grouped.count(), 0u);
 }
 
 TEST(Engine, EmptyPartitionsFlowThroughJoin) {
+  // The pipeline's join shape (core/processes.cpp): both sides co-shuffle
+  // by key, then partitions zip by index.  An empty side joins to nothing.
   Engine engine({.worker_threads = 2});
-  auto left = engine.parallelize(iota_vec(10), 4);
-  auto right = engine.parallelize(std::vector<int>{}, 4);
-  auto joined = left.join<int>(
-      "empty_join", right, 3, [](const int& x) { return x; },
-      [](const int& y) { return y; });
+  const auto key = [](const int& x) { return static_cast<std::uint64_t>(x); };
+  auto left = engine.parallelize(iota_vec(10), 4)
+                  .with_codec(tests::pod_codec<int>())
+                  .shuffle("empty_join.left", 3, key);
+  auto right = engine.parallelize(std::vector<int>{}, 4)
+                   .with_codec(tests::pod_codec<int>())
+                   .shuffle("empty_join.right", 3, key);
+  EXPECT_EQ(right.partition_count(), 3u);
+  const auto& right_parts = right.partitions();
+  auto joined = left.map_partitions_indexed<int>(
+      "empty_join",
+      [&right_parts](std::size_t pid, const std::vector<int>& part) {
+        std::vector<int> out;
+        for (const int x : part) {
+          for (const int y : right_parts[pid]) {
+            if (x == y) out.push_back(x);
+          }
+        }
+        return out;
+      });
   EXPECT_EQ(joined.partition_count(), 3u);
   EXPECT_EQ(joined.count(), 0u);
-}
-
-TEST(Engine, JoinMatchesKeysIncludingDuplicates) {
-  Engine engine({.worker_threads = 4});
-  // Left: 0..9 keyed by value % 5.  Right: {0,1,2, 0,1,2} keyed by value.
-  auto left = engine.parallelize(iota_vec(10), 3);
-  auto right = engine.parallelize(std::vector<int>{0, 1, 2, 0, 1, 2}, 2);
-  auto joined = left.join<int>(
-      "modjoin", right, 4, [](const int& x) { return x % 5; },
-      [](const int& y) { return y; });
-  // Left values with key in {0,1,2}: {0,5},{1,6},{2,7}; each pairs with two
-  // duplicate right records -> 12 pairs.
-  auto pairs = joined.collect();
-  EXPECT_EQ(pairs.size(), 12u);
-  std::size_t key_zero = 0;
-  for (const auto& [key, lr] : pairs) {
-    EXPECT_EQ(lr.first % 5, key);
-    EXPECT_EQ(lr.second, key);
-    if (key == 0) ++key_zero;
-  }
-  EXPECT_EQ(key_zero, 4u);  // {0,5} x two right zeros
 }
 
 TEST(Engine, WrongLengthCodecDetectedAsShuffleFailure) {
@@ -352,15 +348,9 @@ TEST(Engine, WrongLengthCodecDetectedAsShuffleFailure) {
   // the record-count check fails the attempt, and since the bug is
   // deterministic the stage exhausts its retries with a StageFailure.
   Engine engine({.worker_threads = 2, .max_task_retries = 1});
-  ShuffleCodec<int> lossy;
-  lossy.encode = [](std::span<const int> xs) {
-    std::vector<std::uint8_t> out(xs.size() * sizeof(int));
-    if (!out.empty()) std::memcpy(out.data(), xs.data(), out.size());
-    return out;
-  };
+  ShuffleCodec<int> lossy = tests::pod_codec<int>();
   lossy.decode = [](std::span<const std::uint8_t> bytes) {
-    std::vector<int> out(bytes.size() / sizeof(int));
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+    std::vector<int> out = tests::pod_codec<int>().decode(bytes);
     if (!out.empty()) out.pop_back();  // the bug
     return out;
   };
@@ -381,6 +371,7 @@ TEST(Engine, SingleWorkerShuffleOrderIsDeterministic) {
   auto run = [] {
     Engine engine({.worker_threads = 1});
     return engine.parallelize(iota_vec(123), 7)
+        .with_codec(tests::pod_codec<int>())
         .shuffle("spread", 4,
                  [](const int& x) {
                    return static_cast<std::uint64_t>(x) * 2654435761u;
@@ -392,6 +383,7 @@ TEST(Engine, SingleWorkerShuffleOrderIsDeterministic) {
   EXPECT_EQ(a, b);
   Engine multi({.worker_threads = 4});
   const auto c = multi.parallelize(iota_vec(123), 7)
+                     .with_codec(tests::pod_codec<int>())
                      .shuffle("spread", 4,
                               [](const int& x) {
                                 return static_cast<std::uint64_t>(x) *
@@ -419,8 +411,8 @@ TEST(SamCodec, GpfSerializedFormSmallerThanLiveObjects) {
   std::size_t live = 0;
   for (const auto& r : records) live += live_size(r);
   const ShuffleCodec<SamRecord> codec = core::make_sam_codec(Codec::kGpf);
-  const std::vector<std::uint8_t> bytes =
-      codec.encode(std::span<const SamRecord>(records));
+  std::vector<std::uint8_t> bytes;
+  codec.encode(std::span<const SamRecord>(records), bytes);
   EXPECT_LT(bytes.size(), live / 2);
   EXPECT_EQ(codec.decode(bytes), records);
 }
@@ -518,57 +510,6 @@ TEST(Engine, ShuffleRecyclesEncodeBuffersThroughPool) {
               return a.pos < b.pos;
             });
   EXPECT_EQ(got, records);
-}
-
-
-TEST(Engine, SortByProducesGlobalOrder) {
-  Engine engine({.worker_threads = 2});
-  Rng rng(509);
-  std::vector<int> values;
-  for (int i = 0; i < 5000; ++i) {
-    values.push_back(static_cast<int>(rng.below(100000)));
-  }
-  auto ds = engine.parallelize(values, 9);
-  auto sorted = ds.sort_by("sort", 6, [](const int& x) { return x; });
-  EXPECT_EQ(sorted.partition_count(), 6u);
-  const auto out = sorted.collect();
-  ASSERT_EQ(out.size(), values.size());
-  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
-  std::sort(values.begin(), values.end());
-  EXPECT_EQ(out, values);
-}
-
-TEST(Engine, SortByHandlesSkewedKeys) {
-  Engine engine({.worker_threads = 2});
-  std::vector<int> values(1000, 7);  // all identical keys
-  values.push_back(3);
-  values.push_back(11);
-  auto sorted = engine.parallelize(values, 4)
-                    .sort_by("sort", 4, [](const int& x) { return x; });
-  const auto out = sorted.collect();
-  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
-  EXPECT_EQ(out.size(), 1002u);
-}
-
-TEST(Engine, CoalesceMergesWithoutLosingRecords) {
-  Engine engine({.worker_threads = 2});
-  auto ds = engine.parallelize(iota_vec(100), 10);
-  auto merged = ds.coalesce("merge", 3);
-  EXPECT_EQ(merged.partition_count(), 3u);
-  auto out = merged.collect();
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, iota_vec(100));
-  // Coalescing to more partitions than exist is a no-op.
-  EXPECT_EQ(ds.coalesce("noop", 50).partition_count(), 10u);
-}
-
-TEST(Engine, UnionConcatenates) {
-  Engine engine({.worker_threads = 2});
-  auto a = engine.parallelize(iota_vec(10), 2);
-  auto b = engine.parallelize(iota_vec(5), 1);
-  auto u = a.union_with(b);
-  EXPECT_EQ(u.partition_count(), 3u);
-  EXPECT_EQ(u.count(), 15u);
 }
 
 }  // namespace

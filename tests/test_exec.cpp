@@ -18,7 +18,6 @@
 #include "engine/fault_injector.hpp"
 #include "exec/backend_factory.hpp"
 #include "exec/distributed_backend.hpp"
-#include "exec/inprocess_backend.hpp"
 #include "exec/spilling_backend.hpp"
 #include "formats/vcf.hpp"
 #include "simdata/read_sim.hpp"
@@ -145,7 +144,7 @@ struct BackendFixture : public ::testing::Test {
   /// must reproduce its VCF text bit for bit.
   static const Golden& golden() {
     static Golden g = [] {
-      exec::InProcessBackend backend({.worker_threads = 4});
+      core::EngineBackend backend(engine::EngineConfig{.worker_threads = 4});
       const WgsResult r = run_wgs_pipeline(backend, workload().reference,
                                            workload().sample.pairs,
                                            workload().truth, config());
@@ -172,7 +171,7 @@ TEST_F(BackendFixture, InProcessReportShape) {
   ASSERT_FALSE(g.engine_stage_names.empty());
 }
 
-TEST_F(BackendFixture, EngineConstructorPathIsIdenticalToInProcessBackend) {
+TEST_F(BackendFixture, BorrowedEngineBackendIsIdenticalToOwned) {
   engine::Engine engine({.worker_threads = 4});
   const WgsResult r = run_wgs_pipeline(engine, workload().reference,
                                        workload().sample.pairs,

@@ -11,8 +11,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <set>
 #include <string>
@@ -22,6 +22,7 @@
 #include "engine/fault_injector.hpp"
 #include "simcluster/cluster.hpp"
 #include "simcluster/trace.hpp"
+#include "test_codecs.hpp"
 
 namespace gpf::engine {
 namespace {
@@ -36,23 +37,6 @@ std::vector<int> iota_vec(int n) {
   std::vector<int> v(n);
   std::iota(v.begin(), v.end(), 0);
   return v;
-}
-
-/// Plain little-endian int codec so shuffles exercise the encode/checksum/
-/// decode path without dragging in the genomic record formats.
-ShuffleCodec<int> int_codec() {
-  ShuffleCodec<int> c;
-  c.encode = [](std::span<const int> xs) {
-    std::vector<std::uint8_t> out(xs.size() * sizeof(int));
-    if (!out.empty()) std::memcpy(out.data(), xs.data(), out.size());
-    return out;
-  };
-  c.decode = [](std::span<const std::uint8_t> bytes) {
-    std::vector<int> out(bytes.size() / sizeof(int));
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  };
-  return c;
 }
 
 /// The injected-fault decision pattern over a (ordinal, task, attempt)
@@ -154,9 +138,12 @@ TEST(Chaos, RetryExhaustionThrowsTypedStageFailure) {
 }
 
 TEST(Chaos, RandomFaultsEverywhereStillComputeCorrectResults) {
+  const auto odd = [](const int& x) {
+    return x % 2 ? std::vector<int>{x} : std::vector<int>{};
+  };
   Engine clean({.worker_threads = 4});
   const auto expected = clean.parallelize(iota_vec(500), 16)
-                            .filter("odd", [](const int& x) { return x % 2; })
+                            .flat_map("odd", odd)
                             .map("square", [](const int& x) { return x * x; })
                             .collect();
   // First-attempt failures with p=0.5 on every task of every stage: all
@@ -167,7 +154,7 @@ TEST(Chaos, RandomFaultsEverywhereStillComputeCorrectResults) {
       std::vector<FaultRule>{FaultRule::fail_random("", 0.5)}));
   const auto got =
       chaotic.parallelize(iota_vec(500), 16)
-          .filter("odd", [](const int& x) { return x % 2; })
+          .flat_map("odd", odd)
           .map("square", [](const int& x) { return x * x; })
           .collect();
   EXPECT_EQ(got, expected);
@@ -179,6 +166,7 @@ TEST(Chaos, RandomFaultsEverywhereStillComputeCorrectResults) {
 TEST(Chaos, AnySeedStillProducesCorrectResults) {
   Engine clean({.worker_threads = 4});
   auto sorted_clean = clean.parallelize(iota_vec(300), 8)
+                          .with_codec(tests::pod_codec<int>())
                           .shuffle("spread", 5,
                                    [](const int& x) {
                                      return static_cast<std::uint64_t>(x);
@@ -190,6 +178,7 @@ TEST(Chaos, AnySeedStillProducesCorrectResults) {
     chaotic.set_fault_injector(std::make_shared<FaultInjector>(
         seed, std::vector<FaultRule>{FaultRule::fail_random("", 0.4)}));
     auto got = chaotic.parallelize(iota_vec(300), 8)
+                   .with_codec(tests::pod_codec<int>())
                    .shuffle("spread", 5,
                             [](const int& x) {
                               return static_cast<std::uint64_t>(x);
@@ -227,7 +216,7 @@ ChaosRunOutcome run_chaos_pipeline(std::uint64_t seed) {
       }));
   auto ds = engine.parallelize(iota_vec(400), 8)
                 .map("triple", [](const int& x) { return 3 * x; })
-                .with_codec(int_codec())
+                .with_codec(tests::pod_codec<int>())
                 .shuffle("modshuffle", 6,
                          [](const int& x) {
                            return static_cast<std::uint64_t>(x / 3 % 6);
@@ -268,7 +257,7 @@ TEST(Chaos, SeededRunIsBitReproducible) {
   const auto expected =
       clean.parallelize(iota_vec(400), 8)
           .map("triple", [](const int& x) { return 3 * x; })
-          .with_codec(int_codec())
+          .with_codec(tests::pod_codec<int>())
           .shuffle("modshuffle",
                    6, [](const int& x) {
                      return static_cast<std::uint64_t>(x / 3 % 6);
@@ -305,23 +294,6 @@ TEST(Chaos, InjectedStragglerTriggersSpeculation) {
   EXPECT_LT(stage.wall_seconds, 0.35);
 }
 
-TEST(Chaos, SpeculationDisabledWaitsOutTheStraggler) {
-  Engine engine({.worker_threads = 4,
-                 .serialize_shuffle = true,
-                 .max_task_retries = 2,
-                 .speculation = false});
-  engine.set_fault_injector(std::make_shared<FaultInjector>(
-      chaos_seed(), std::vector<FaultRule>{FaultRule::delay_task(
-                        "slow", 1, /*delay_ms=*/150.0)}));
-  auto ds = engine.parallelize(iota_vec(64), 8)
-                .map("slow", [](const int& x) { return x + 1; });
-  EXPECT_EQ(ds.count(), 64u);
-  const auto& stage = engine.metrics().stages().back();
-  EXPECT_EQ(stage.speculative_launches, 0u);
-  EXPECT_EQ(stage.injected_faults, 1u);
-  EXPECT_GE(stage.wall_seconds, 0.12);
-}
-
 TEST(Chaos, SpeculativeCopyWinsWhenPrimaryIsDoomed) {
   // Task 2's primary attempts would fail forever, but its injected delay
   // launches a speculative copy that is exempt from injection (it models a
@@ -346,7 +318,7 @@ TEST(Chaos, CorruptedShuffleBlockIsRetriedAndHeals) {
   Engine clean({.worker_threads = 4});
   const auto expected =
       clean.parallelize(iota_vec(200), 4)
-          .with_codec(int_codec())
+          .with_codec(tests::pod_codec<int>())
           .shuffle("bykey", 3,
                    [](const int& x) { return static_cast<std::uint64_t>(x); })
           .collect();
@@ -357,7 +329,7 @@ TEST(Chaos, CorruptedShuffleBlockIsRetriedAndHeals) {
                         "bykey", /*map_task=*/0, /*block=*/1)}));
   const auto got =
       chaotic.parallelize(iota_vec(200), 4)
-          .with_codec(int_codec())
+          .with_codec(tests::pod_codec<int>())
           .shuffle("bykey", 3,
                    [](const int& x) { return static_cast<std::uint64_t>(x); })
           .collect();
@@ -374,7 +346,8 @@ TEST(Chaos, PersistentCorruptionFailsTheReduceTask) {
   engine.set_fault_injector(std::make_shared<FaultInjector>(
       chaos_seed(), std::vector<FaultRule>{FaultRule::corrupt_block(
                         "bykey", 0, 1, /*attempts=*/-1)}));
-  auto ds = engine.parallelize(iota_vec(100), 4).with_codec(int_codec());
+  auto ds = engine.parallelize(iota_vec(100), 4)
+                .with_codec(tests::pod_codec<int>());
   try {
     ds.shuffle("bykey", 3,
                [](const int& x) { return static_cast<std::uint64_t>(x); });
@@ -430,8 +403,22 @@ TEST(Chaos, GroupByUnderRandomFaultsKeepsGroupsComplete) {
   engine.set_fault_injector(std::make_shared<FaultInjector>(
       chaos_seed(),
       std::vector<FaultRule>{FaultRule::fail_random("", 0.4)}));
-  auto grouped = engine.parallelize(iota_vec(210), 7)
-                     .group_by("bymod", 4, [](const int& x) { return x % 7; });
+  // Group by x % 7: shuffle on the key, then group each partition, as the
+  // pipeline's groupBy stages do.
+  using Group = std::pair<int, std::vector<int>>;
+  auto grouped =
+      engine.parallelize(iota_vec(210), 7)
+          .with_codec(tests::pod_codec<int>())
+          .shuffle("bymod", 4,
+                   [](const int& x) {
+                     return static_cast<std::uint64_t>(x % 7);
+                   })
+          .map_partitions<Group>(
+              "bymod.group", [](const std::vector<int>& part) {
+                std::map<int, std::vector<int>> groups;
+                for (const int x : part) groups[x % 7].push_back(x);
+                return std::vector<Group>(groups.begin(), groups.end());
+              });
   std::size_t total = 0;
   std::size_t groups = 0;
   for (const auto& part : grouped.partitions()) {
@@ -583,10 +570,21 @@ TEST(SimChaos, EngineTraceReplayWithNodeFailure) {
       std::vector<FaultRule>{FaultRule::fail_random("", 0.2)}));
   engine.parallelize(iota_vec(2000), 32)
       .map("scale", [](const int& x) { return x * 7; })
-      .with_codec(int_codec())
+      .with_codec(tests::pod_codec<int>())
       .shuffle("redistribute", 24,
                [](const int& x) { return static_cast<std::uint64_t>(x); })
-      .sort_by("order", 16, [](const int& x) { return x; });
+      .shuffle("order", 16,
+               [](const int& x) {
+                 // Range-partition the scaled values [0, 14000) into 16
+                 // ordered key ranges, then sort each range locally.
+                 return static_cast<std::uint64_t>(x) * 16 / 14000;
+               })
+      .map_partitions<int>("order.local_sort",
+                           [](const std::vector<int>& part) {
+                             std::vector<int> out = part;
+                             std::sort(out.begin(), out.end());
+                             return out;
+                           });
 
   const sim::SimJob job =
       sim::replicate_tasks(sim::trace_job(engine.metrics()), 16);

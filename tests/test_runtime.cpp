@@ -22,7 +22,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -37,7 +36,6 @@
 #include "engine/dataset.hpp"
 #include "engine/fault_injector.hpp"
 #include "exec/distributed_backend.hpp"
-#include "exec/inprocess_backend.hpp"
 #include "formats/fasta.hpp"
 #include "net/channel.hpp"
 #include "net/frame.hpp"
@@ -45,6 +43,7 @@
 #include "runtime/block_store.hpp"
 #include "runtime/worker.hpp"
 #include "runtime/worker_pool.hpp"
+#include "test_codecs.hpp"
 
 namespace gpf::runtime {
 namespace {
@@ -405,23 +404,6 @@ U64Partitions make_inputs(std::size_t n_parts, std::size_t records_per_part,
   return inputs;
 }
 
-/// Plain 8-byte codec.  A shuffle goes through the engine's transport
-/// only when its dataset carries a codec.
-engine::ShuffleCodec<std::uint64_t> u64_codec() {
-  engine::ShuffleCodec<std::uint64_t> c;
-  c.encode = [](std::span<const std::uint64_t> xs) {
-    std::vector<std::uint8_t> out(xs.size() * 8);
-    if (!out.empty()) std::memcpy(out.data(), xs.data(), out.size());
-    return out;
-  };
-  c.decode = [](std::span<const std::uint8_t> bytes) {
-    std::vector<std::uint64_t> out(bytes.size() / 8);
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), out.size() * 8);
-    return out;
-  };
-  return c;
-}
-
 /// Runs `body` as the one Process of a pipeline on `backend`: backends
 /// attach their shuffle transport only around a plan.
 void run_as_process(core::ExecutionBackend& backend,
@@ -448,7 +430,7 @@ U64Partitions shuffle_on(core::ExecutionBackend& backend,
   U64Partitions out;
   run_as_process(backend, [&](engine::Engine& eng) {
     out = eng.make_dataset(inputs)
-              .with_codec(u64_codec())
+              .with_codec(tests::pod_codec<std::uint64_t>())
               .shuffle(stage, num_out, [](std::uint64_t x) { return x; })
               .partitions();
   });
@@ -459,7 +441,7 @@ U64Partitions shuffle_on(core::ExecutionBackend& backend,
 /// must match it bit for bit.
 U64Partitions in_process_shuffle(const U64Partitions& inputs,
                                  std::size_t num_out) {
-  exec::InProcessBackend backend({.worker_threads = 2});
+  core::EngineBackend backend(engine::EngineConfig{.worker_threads = 2});
   return shuffle_on(backend, "ref.shuffle", inputs, num_out);
 }
 

@@ -19,6 +19,7 @@
 #include "engine/dataset.hpp"
 #include "engine/fault_injector.hpp"
 #include "simcluster/cluster.hpp"
+#include "test_codecs.hpp"
 
 namespace gpf::trace {
 namespace {
@@ -218,21 +219,6 @@ std::vector<int> iota_vec(int n) {
   return v;
 }
 
-engine::ShuffleCodec<int> int_codec() {
-  engine::ShuffleCodec<int> c;
-  c.encode = [](std::span<const int> xs) {
-    std::vector<std::uint8_t> out(xs.size() * sizeof(int));
-    if (!out.empty()) std::memcpy(out.data(), xs.data(), out.size());
-    return out;
-  };
-  c.decode = [](std::span<const std::uint8_t> bytes) {
-    std::vector<int> out(bytes.size() / sizeof(int));
-    if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  };
-  return c;
-}
-
 /// RAII guard: whatever a test does, the global recorder leaves disabled
 /// and empty so later tests (and other suites) see a clean slate.
 struct RecorderGuard {
@@ -400,10 +386,10 @@ TEST(ChromeTrace, FaultedEngineRunGoldenShape) {
                                             /*delay_ms=*/120.0)}));
   auto ds = engine.parallelize(iota_vec(64), 8)
                 .map("double", [](const int& x) { return 2 * x; });
-  auto shuffled =
-      ds.with_codec(int_codec()).shuffle("bykey", 4, [](const int& x) {
-        return static_cast<std::uint64_t>(x % 4);
-      });
+  auto shuffled = ds.with_codec(tests::pod_codec<int>())
+                      .shuffle("bykey", 4, [](const int& x) {
+                        return static_cast<std::uint64_t>(x % 4);
+                      });
   EXPECT_EQ(shuffled.count(), 64u);
 
   recorder.disable();
