@@ -456,6 +456,42 @@ KernelReport report_sw(const char* name, bool glocal_mode) {
   return r;
 }
 
+/// The aligner's batched extension: 256 read-extension jobs of one shape
+/// (100 x 148, band 16) through glocal_batch, against the reference DP one
+/// job at a time.
+KernelReport report_sw_batch() {
+  const auto cases = harness_sw_cases(256, 100, 148);
+  const align::ScoringScheme scoring;
+  const int band = 16;
+  std::vector<align::GlocalJob> jobs;
+  for (const auto& c : cases) jobs.push_back({c.query, c.target});
+  std::vector<align::AlignmentResult> got;
+
+  KernelReport r{"sw_glocal_batch", "alignments/s"};
+  const double base_s = seconds_per_call([&] {
+    for (const auto& c : cases) {
+      benchmark::DoNotOptimize(align::detail::glocal_reference(
+          c.query, c.target, scoring, band));
+    }
+  });
+  const double fast_s = seconds_per_call([&] {
+    align::glocal_batch(jobs, scoring, band, got);
+    benchmark::DoNotOptimize(got.data());
+  });
+  r.baseline = static_cast<double>(cases.size()) / base_s;
+  r.optimized = static_cast<double>(cases.size()) / fast_s;
+
+  align::glocal_batch(jobs, scoring, band, got);
+  r.outputs_match = got.size() == cases.size();
+  for (std::size_t k = 0; k < cases.size() && r.outputs_match; ++k) {
+    r.outputs_match = same_alignment(
+        got[k], align::detail::glocal_reference(cases[k].query,
+                                                cases[k].target, scoring,
+                                                band));
+  }
+  return r;
+}
+
 KernelReport report_pair_hmm(const simd::Level fast) {
   // One active region's read x haplotype matrix, the shape call_region
   // fills: 100-base reads with a few substitutions and correlated quality
@@ -736,6 +772,7 @@ int run_json_harness(const std::string& path) {
   reports.push_back(report_qual_decode(fast));
   reports.push_back(report_sw("sw_banded_global", /*glocal_mode=*/false));
   reports.push_back(report_sw("sw_glocal", /*glocal_mode=*/true));
+  reports.push_back(report_sw_batch());
   reports.push_back(report_pair_hmm(fast));
   reports.push_back(report_fm_search());
   reports.push_back(report_fastq_scan(fast));

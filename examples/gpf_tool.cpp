@@ -141,12 +141,7 @@ int cmd_align(int argc, char** argv) {
   const align::FmIndex index(reference);
   const align::ReadAligner aligner(index);
   std::vector<SamRecord> records;
-  records.reserve(pairs.size() * 2);
-  for (const auto& p : pairs) {
-    auto [r1, r2] = aligner.align_pair(p);
-    records.push_back(std::move(r1));
-    records.push_back(std::move(r2));
-  }
+  aligner.align_pairs(pairs, records);
   cleaner::coordinate_sort(records);
   SamHeader header = sam_header_for(reference);
   header.coordinate_sorted = true;

@@ -1,32 +1,29 @@
 #include "align/bwamem.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace gpf::align {
 namespace {
+
+/// The complement of every byte: A/T and C/G swap, anything else is N.
+constexpr std::array<char, 256> kComplement = [] {
+  std::array<char, 256> t{};
+  t.fill('N');
+  t['A'] = 'T';
+  t['T'] = 'A';
+  t['C'] = 'G';
+  t['G'] = 'C';
+  return t;
+}();
 
 /// Reverse-complement helper local to the aligner (simdata provides the
 /// canonical implementation; we keep alignment self-contained).
 std::string revcomp(std::string_view seq) {
   std::string out(seq.size(), 'N');
   for (std::size_t i = 0; i < seq.size(); ++i) {
-    switch (seq[seq.size() - 1 - i]) {
-      case 'A':
-        out[i] = 'T';
-        break;
-      case 'T':
-        out[i] = 'A';
-        break;
-      case 'C':
-        out[i] = 'G';
-        break;
-      case 'G':
-        out[i] = 'C';
-        break;
-      default:
-        out[i] = 'N';
-    }
+    out[i] = kComplement[static_cast<unsigned char>(seq[seq.size() - 1 - i])];
   }
   return out;
 }
@@ -55,51 +52,8 @@ void ReadAligner::collect_seeds(const std::string& seq, bool reverse,
   }
 }
 
-AlignmentCandidate ReadAligner::extend_cluster(const std::string& seq,
-                                               const SeedHit& anchor) const {
-  const Reference& ref = index_->reference();
-  const auto read_len = static_cast<std::int64_t>(seq.size());
-  const std::int64_t win_start = anchor.diag - options_.ref_flank;
-  const std::int64_t win_len = read_len + 2 * options_.ref_flank;
-  const std::string_view window =
-      ref.slice(anchor.contig_id, win_start, win_len);
-  if (window.size() < static_cast<std::size_t>(options_.seed_length)) {
-    return {};
-  }
-  const std::int64_t effective_start = std::max<std::int64_t>(0, win_start);
-
-  const AlignmentResult r =
-      glocal(seq, window, options_.scoring, options_.band);
-  if (r.cigar.empty()) return {};
-
-  AlignmentCandidate cand;
-  cand.contig_id = anchor.contig_id;
-  cand.reverse = anchor.reverse;
-  cand.score = r.score;
-  cand.mismatches = r.mismatches;
-  cand.pos = effective_start + r.ref_start;
-  // Add soft clips for the unaligned query ends.
-  Cigar cigar;
-  if (r.query_start > 0) {
-    cigar.push_back({CigarOp::kSoftClip,
-                     static_cast<std::uint32_t>(r.query_start)});
-  }
-  cigar.insert(cigar.end(), r.cigar.begin(), r.cigar.end());
-  const auto tail = static_cast<std::int32_t>(seq.size()) - r.query_end;
-  if (tail > 0) {
-    cigar.push_back({CigarOp::kSoftClip, static_cast<std::uint32_t>(tail)});
-  }
-  cand.cigar = std::move(cigar);
-  return cand;
-}
-
-std::vector<AlignmentCandidate> ReadAligner::candidates(
-    const std::string& seq) const {
-  return candidates(seq, revcomp(seq));
-}
-
-std::vector<AlignmentCandidate> ReadAligner::candidates(
-    const std::string& seq, const std::string& rc) const {
+void ReadAligner::rank_clusters(const std::string& seq, const std::string& rc,
+                                std::vector<SeedHit>& anchors) const {
   thread_local std::vector<SeedHit> hits;
   hits.clear();
   collect_seeds(seq, /*reverse=*/false, hits);
@@ -123,7 +77,8 @@ std::vector<AlignmentCandidate> ReadAligner::candidates(
   }
   std::sort(keyed.begin(), keyed.end());
   // Extend the most-voted clusters.
-  std::vector<std::pair<int, SeedHit>> ranked;
+  thread_local std::vector<std::pair<int, SeedHit>> ranked;
+  ranked.clear();
   for (std::size_t i = 0; i < keyed.size();) {
     std::size_t end = i + 1;
     while (end < keyed.size() && keyed[end].first == keyed[i].first) ++end;
@@ -137,21 +92,83 @@ std::vector<AlignmentCandidate> ReadAligner::candidates(
   if (ranked.size() > static_cast<std::size_t>(options_.max_extensions)) {
     ranked.resize(static_cast<std::size_t>(options_.max_extensions));
   }
+  anchors.clear();
+  for (const auto& [votes, anchor] : ranked) anchors.push_back(anchor);
+}
 
-  std::vector<AlignmentCandidate> cands;
-  for (const auto& [votes, anchor] : ranked) {
-    const std::string& oriented = anchor.reverse ? rc : seq;
-    AlignmentCandidate c = extend_cluster(oriented, anchor);
-    if (c.contig_id >= 0 && c.score >= options_.min_score) {
-      cands.push_back(std::move(c));
+AlignmentCandidate ReadAligner::to_candidate(const AlignmentResult& r,
+                                             const Placement& at,
+                                             std::size_t read_len) {
+  AlignmentCandidate cand;
+  cand.contig_id = at.contig_id;
+  cand.reverse = at.reverse;
+  cand.score = r.score;
+  cand.mismatches = r.mismatches;
+  cand.pos = at.start + r.ref_start;
+  // Add soft clips for the unaligned query ends.
+  Cigar cigar;
+  if (r.query_start > 0) {
+    cigar.push_back({CigarOp::kSoftClip,
+                     static_cast<std::uint32_t>(r.query_start)});
+  }
+  cigar.insert(cigar.end(), r.cigar.begin(), r.cigar.end());
+  const auto tail = static_cast<std::int32_t>(read_len) - r.query_end;
+  if (tail > 0) {
+    cigar.push_back({CigarOp::kSoftClip, static_cast<std::uint32_t>(tail)});
+  }
+  cand.cigar = std::move(cigar);
+  return cand;
+}
+
+void ReadAligner::extend_reads(
+    std::span<const ReadView> reads,
+    std::vector<std::vector<AlignmentCandidate>>& cands) const {
+  // Seed and cluster every read, queueing one job per cluster: the read
+  // against its projected span plus ref_flank on each side.
+  const Reference& ref = index_->reference();
+  std::vector<GlocalJob> jobs;
+  std::vector<Placement> placed;
+  std::vector<std::size_t> first(reads.size() + 1);
+  std::vector<SeedHit> anchors;
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    first[r] = jobs.size();
+    rank_clusters(*reads[r].seq, *reads[r].rc, anchors);
+    for (const SeedHit& anchor : anchors) {
+      const std::string& oriented =
+          anchor.reverse ? *reads[r].rc : *reads[r].seq;
+      const std::int64_t win_start = anchor.diag - options_.ref_flank;
+      const std::int64_t win_len =
+          static_cast<std::int64_t>(oriented.size()) + 2 * options_.ref_flank;
+      const std::string_view window =
+          ref.slice(anchor.contig_id, win_start, win_len);
+      if (window.size() < static_cast<std::size_t>(options_.seed_length)) {
+        continue;
+      }
+      jobs.push_back({oriented, window});
+      placed.push_back({anchor.contig_id, anchor.reverse,
+                        std::max<std::int64_t>(0, win_start)});
     }
   }
-  std::stable_sort(cands.begin(), cands.end(),
-                   [](const AlignmentCandidate& a,
-                      const AlignmentCandidate& b) {
-                     return a.score > b.score;
-                   });
-  return cands;
+  first[reads.size()] = jobs.size();
+
+  std::vector<AlignmentResult> results;
+  glocal_batch(jobs, options_.scoring, options_.band, results);
+
+  cands.resize(reads.size());
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    auto& out = cands[r];
+    out.clear();
+    for (std::size_t k = first[r]; k < first[r + 1]; ++k) {
+      const AlignmentResult& res = results[k];
+      if (res.cigar.empty() || res.score < options_.min_score) continue;
+      out.push_back(to_candidate(res, placed[k], jobs[k].query.size()));
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const AlignmentCandidate& a,
+                        const AlignmentCandidate& b) {
+                       return a.score > b.score;
+                     });
+  }
 }
 
 std::uint8_t ReadAligner::mapq_from_scores(std::int32_t best,
@@ -196,153 +213,179 @@ SamRecord ReadAligner::to_record(const FastqRecord& read,
 
 SamRecord ReadAligner::align_single(const FastqRecord& read) const {
   const std::string rc = revcomp(read.sequence);
-  const auto cands = candidates(read.sequence, rc);
-  if (cands.empty()) {
+  const ReadView view{&read.sequence, &rc};
+  std::vector<std::vector<AlignmentCandidate>> cands;
+  extend_reads(std::span(&view, 1), cands);
+  const auto& c = cands[0];
+  if (c.empty()) {
     AlignmentCandidate none;
     return to_record(read, rc, none);
   }
-  SamRecord rec = to_record(read, rc, cands[0]);
-  const std::int32_t second = cands.size() > 1 ? cands[1].score : 0;
+  SamRecord rec = to_record(read, rc, c[0]);
+  const std::int32_t second = c.size() > 1 ? c[1].score : 0;
   rec.mapq = mapq_from_scores(
-      cands[0].score, second,
+      c[0].score, second,
       static_cast<std::int32_t>(read.sequence.size()) *
           options_.scoring.match);
   return rec;
 }
 
-AlignmentCandidate ReadAligner::rescue(const std::string& seq,
-                                       const std::string& rc,
-                                       std::int32_t contig_id,
-                                       std::int64_t anchor_pos,
-                                       bool reverse) const {
-  const Reference& ref = index_->reference();
-  const auto window_half = static_cast<std::int64_t>(
-      options_.insert_mean + 4.0 * options_.insert_sd);
-  const std::int64_t start = anchor_pos - window_half;
-  const std::string_view window =
-      ref.slice(contig_id, start, 2 * window_half);
-  if (window.size() < seq.size()) return {};
-  const std::string& oriented = reverse ? rc : seq;
-  const AlignmentResult r =
-      glocal(oriented, window, options_.scoring, options_.band);
-  if (r.cigar.empty() || r.score < options_.min_score) return {};
-  AlignmentCandidate cand;
-  cand.contig_id = contig_id;
-  cand.reverse = reverse;
-  cand.score = r.score;
-  cand.mismatches = r.mismatches;
-  cand.pos = std::max<std::int64_t>(0, start) + r.ref_start;
-  Cigar cigar;
-  if (r.query_start > 0) {
-    cigar.push_back({CigarOp::kSoftClip,
-                     static_cast<std::uint32_t>(r.query_start)});
-  }
-  cigar.insert(cigar.end(), r.cigar.begin(), r.cigar.end());
-  const auto tail = static_cast<std::int32_t>(oriented.size()) - r.query_end;
-  if (tail > 0) {
-    cigar.push_back({CigarOp::kSoftClip, static_cast<std::uint32_t>(tail)});
-  }
-  cand.cigar = std::move(cigar);
-  return cand;
-}
-
 std::pair<SamRecord, SamRecord> ReadAligner::align_pair(
     const FastqPair& pair) const {
-  const std::string rc1 = revcomp(pair.first.sequence);
-  const std::string rc2 = revcomp(pair.second.sequence);
-  auto cands1 = candidates(pair.first.sequence, rc1);
-  auto cands2 = candidates(pair.second.sequence, rc2);
+  std::vector<SamRecord> out;
+  align_pairs(std::span(&pair, 1), out);
+  return {std::move(out[0]), std::move(out[1])};
+}
 
-  // Score all cross-combinations with an insert-size prior; proper pairs
-  // are forward/reverse on the same contig within the insert window.
+void ReadAligner::align_pairs(std::span<const FastqPair> pairs,
+                              std::vector<SamRecord>& out) const {
+  out.reserve(out.size() + 2 * pairs.size());
+  for (std::size_t at = 0; at < pairs.size(); at += kPairsPerBatch) {
+    align_batch(
+        pairs.subspan(at, std::min(kPairsPerBatch, pairs.size() - at)), out);
+  }
+}
+
+void ReadAligner::align_batch(std::span<const FastqPair> pairs,
+                              std::vector<SamRecord>& out) const {
+  // Phases 1-2: seed, cluster and extend both mates of every pair.  Reads
+  // 2p and 2p + 1 are pair p's mates.
+  const std::size_t n = pairs.size();
+  std::vector<std::string> rc(2 * n);
+  std::vector<ReadView> reads(2 * n);
+  for (std::size_t p = 0; p < n; ++p) {
+    rc[2 * p] = revcomp(pairs[p].first.sequence);
+    rc[2 * p + 1] = revcomp(pairs[p].second.sequence);
+    reads[2 * p] = {&pairs[p].first.sequence, &rc[2 * p]};
+    reads[2 * p + 1] = {&pairs[p].second.sequence, &rc[2 * p + 1]};
+  }
+  std::vector<std::vector<AlignmentCandidate>> cands;
+  extend_reads(reads, cands);
+
+  // Phase 3: score all cross-combinations with an insert-size prior;
+  // proper pairs are forward/reverse on the same contig within the insert
+  // window.  Where none pairs and only one mate aligned, queue a rescue:
+  // the other mate against the insert window around the aligned one.
+  struct Chosen {
+    AlignmentCandidate c1, c2;
+    bool proper = false;
+  };
+  std::vector<Chosen> chosen(n);
+  std::vector<GlocalJob> rescue_jobs;
+  std::vector<Placement> rescue_at;
+  std::vector<std::size_t> rescue_read;  // the rescued mate's read index
+  const Reference& ref = index_->reference();
   const double max_insert = options_.insert_mean + 6.0 * options_.insert_sd;
-  double best_pair_score = -1.0;
-  int best_i = -1, best_j = -1;
-  for (std::size_t i = 0; i < cands1.size(); ++i) {
-    for (std::size_t j = 0; j < cands2.size(); ++j) {
-      const auto& a = cands1[i];
-      const auto& b = cands2[j];
-      if (a.contig_id != b.contig_id || a.reverse == b.reverse) continue;
-      const std::int64_t insert = std::abs(a.pos - b.pos) +
-                                  static_cast<std::int64_t>(
-                                      pair.first.sequence.size());
-      if (static_cast<double>(insert) > max_insert) continue;
-      const double z = (static_cast<double>(insert) - options_.insert_mean) /
-                       options_.insert_sd;
-      const double score =
-          static_cast<double>(a.score + b.score) - 0.5 * z * z;
-      if (score > best_pair_score) {
-        best_pair_score = score;
-        best_i = static_cast<int>(i);
-        best_j = static_cast<int>(j);
+  const auto window_half = static_cast<std::int64_t>(
+      options_.insert_mean + 4.0 * options_.insert_sd);
+  for (std::size_t p = 0; p < n; ++p) {
+    const FastqPair& pair = pairs[p];
+    const auto& cands1 = cands[2 * p];
+    const auto& cands2 = cands[2 * p + 1];
+    double best_pair_score = -1.0;
+    int best_i = -1, best_j = -1;
+    for (std::size_t i = 0; i < cands1.size(); ++i) {
+      for (std::size_t j = 0; j < cands2.size(); ++j) {
+        const auto& a = cands1[i];
+        const auto& b = cands2[j];
+        if (a.contig_id != b.contig_id || a.reverse == b.reverse) continue;
+        const std::int64_t insert = std::abs(a.pos - b.pos) +
+                                    static_cast<std::int64_t>(
+                                        pair.first.sequence.size());
+        if (static_cast<double>(insert) > max_insert) continue;
+        const double z =
+            (static_cast<double>(insert) - options_.insert_mean) /
+            options_.insert_sd;
+        const double score =
+            static_cast<double>(a.score + b.score) - 0.5 * z * z;
+        if (score > best_pair_score) {
+          best_pair_score = score;
+          best_i = static_cast<int>(i);
+          best_j = static_cast<int>(j);
+        }
       }
     }
-  }
 
-  AlignmentCandidate c1 = cands1.empty() ? AlignmentCandidate{} : cands1[0];
-  AlignmentCandidate c2 = cands2.empty() ? AlignmentCandidate{} : cands2[0];
-  bool proper = false;
-  if (best_i >= 0) {
-    c1 = cands1[static_cast<std::size_t>(best_i)];
-    c2 = cands2[static_cast<std::size_t>(best_j)];
-    proper = true;
-  } else {
-    // Mate rescue: anchor on whichever mate aligned and search the insert
-    // window for the other.
-    if (c1.contig_id >= 0 && c2.contig_id < 0) {
-      const AlignmentCandidate r =
-          rescue(pair.second.sequence, rc2, c1.contig_id, c1.pos,
-                 !c1.reverse);
-      if (r.contig_id >= 0) {
-        c2 = r;
-        proper = true;
-      }
-    } else if (c2.contig_id >= 0 && c1.contig_id < 0) {
-      const AlignmentCandidate r =
-          rescue(pair.first.sequence, rc1, c2.contig_id, c2.pos,
-                 !c2.reverse);
-      if (r.contig_id >= 0) {
-        c1 = r;
-        proper = true;
-      }
+    Chosen& c = chosen[p];
+    if (!cands1.empty()) c.c1 = cands1[0];
+    if (!cands2.empty()) c.c2 = cands2[0];
+    if (best_i >= 0) {
+      c.c1 = cands1[static_cast<std::size_t>(best_i)];
+      c.c2 = cands2[static_cast<std::size_t>(best_j)];
+      c.proper = true;
+      continue;
     }
+    const bool rescue_second = c.c1.contig_id >= 0 && c.c2.contig_id < 0;
+    const bool rescue_first = c.c2.contig_id >= 0 && c.c1.contig_id < 0;
+    if (!rescue_second && !rescue_first) continue;
+    const AlignmentCandidate& anchor = rescue_second ? c.c1 : c.c2;
+    const std::size_t read = rescue_second ? 2 * p + 1 : 2 * p;
+    const std::int64_t start = anchor.pos - window_half;
+    const std::string_view window =
+        ref.slice(anchor.contig_id, start, 2 * window_half);
+    if (window.size() < reads[read].seq->size()) continue;
+    const bool reverse = !anchor.reverse;
+    rescue_jobs.push_back(
+        {reverse ? *reads[read].rc : *reads[read].seq, window});
+    rescue_at.push_back(
+        {anchor.contig_id, reverse, std::max<std::int64_t>(0, start)});
+    rescue_read.push_back(read);
   }
 
-  SamRecord r1 = to_record(pair.first, rc1, c1);
-  SamRecord r2 = to_record(pair.second, rc2, c2);
-  const auto perfect1 = static_cast<std::int32_t>(
-      pair.first.sequence.size() * options_.scoring.match);
-  const auto perfect2 = static_cast<std::int32_t>(
-      pair.second.sequence.size() * options_.scoring.match);
-  r1.mapq = mapq_from_scores(
-      c1.score, cands1.size() > 1 ? cands1[1].score : 0, perfect1);
-  r2.mapq = mapq_from_scores(
-      c2.score, cands2.size() > 1 ? cands2[1].score : 0, perfect2);
+  // Phase 4: every rescue in one batch.
+  std::vector<AlignmentResult> rescued;
+  glocal_batch(rescue_jobs, options_.scoring, options_.band, rescued);
+  for (std::size_t k = 0; k < rescue_jobs.size(); ++k) {
+    const AlignmentResult& res = rescued[k];
+    if (res.cigar.empty() || res.score < options_.min_score) continue;
+    Chosen& c = chosen[rescue_read[k] / 2];
+    (rescue_read[k] % 2 == 0 ? c.c1 : c.c2) =
+        to_candidate(res, rescue_at[k], rescue_jobs[k].query.size());
+    c.proper = true;
+  }
 
-  // Pairing flags and mate info.
-  r1.flag |= SamFlags::kPaired | SamFlags::kFirstOfPair;
-  r2.flag |= SamFlags::kPaired | SamFlags::kSecondOfPair;
-  if (r2.is_unmapped()) r1.flag |= SamFlags::kMateUnmapped;
-  if (r1.is_unmapped()) r2.flag |= SamFlags::kMateUnmapped;
-  if (r2.is_reverse()) r1.flag |= SamFlags::kMateReverse;
-  if (r1.is_reverse()) r2.flag |= SamFlags::kMateReverse;
-  if (proper && !r1.is_unmapped() && !r2.is_unmapped()) {
-    r1.flag |= SamFlags::kProperPair;
-    r2.flag |= SamFlags::kProperPair;
+  // Phase 5: the records, with MAPQ, pairing flags and mate info.
+  for (std::size_t p = 0; p < n; ++p) {
+    const FastqPair& pair = pairs[p];
+    const Chosen& c = chosen[p];
+    const auto& cands1 = cands[2 * p];
+    const auto& cands2 = cands[2 * p + 1];
+    SamRecord r1 = to_record(pair.first, rc[2 * p], c.c1);
+    SamRecord r2 = to_record(pair.second, rc[2 * p + 1], c.c2);
+    const auto perfect1 = static_cast<std::int32_t>(
+        pair.first.sequence.size() * options_.scoring.match);
+    const auto perfect2 = static_cast<std::int32_t>(
+        pair.second.sequence.size() * options_.scoring.match);
+    r1.mapq = mapq_from_scores(
+        c.c1.score, cands1.size() > 1 ? cands1[1].score : 0, perfect1);
+    r2.mapq = mapq_from_scores(
+        c.c2.score, cands2.size() > 1 ? cands2[1].score : 0, perfect2);
+
+    r1.flag |= SamFlags::kPaired | SamFlags::kFirstOfPair;
+    r2.flag |= SamFlags::kPaired | SamFlags::kSecondOfPair;
+    if (r2.is_unmapped()) r1.flag |= SamFlags::kMateUnmapped;
+    if (r1.is_unmapped()) r2.flag |= SamFlags::kMateUnmapped;
+    if (r2.is_reverse()) r1.flag |= SamFlags::kMateReverse;
+    if (r1.is_reverse()) r2.flag |= SamFlags::kMateReverse;
+    if (c.proper && !r1.is_unmapped() && !r2.is_unmapped()) {
+      r1.flag |= SamFlags::kProperPair;
+      r2.flag |= SamFlags::kProperPair;
+    }
+    r1.mate_contig_id = r2.contig_id;
+    r1.mate_pos = r2.pos;
+    r2.mate_contig_id = r1.contig_id;
+    r2.mate_pos = r1.pos;
+    if (!r1.is_unmapped() && !r2.is_unmapped() &&
+        r1.contig_id == r2.contig_id) {
+      const std::int64_t lo = std::min(r1.pos, r2.pos);
+      const std::int64_t hi = std::max(r1.end_pos(), r2.end_pos());
+      const std::int64_t span = hi - lo;
+      r1.tlen = r1.pos <= r2.pos ? span : -span;
+      r2.tlen = -r1.tlen;
+    }
+    out.push_back(std::move(r1));
+    out.push_back(std::move(r2));
   }
-  r1.mate_contig_id = r2.contig_id;
-  r1.mate_pos = r2.pos;
-  r2.mate_contig_id = r1.contig_id;
-  r2.mate_pos = r1.pos;
-  if (!r1.is_unmapped() && !r2.is_unmapped() &&
-      r1.contig_id == r2.contig_id) {
-    const std::int64_t lo = std::min(r1.pos, r2.pos);
-    const std::int64_t hi = std::max(r1.end_pos(), r2.end_pos());
-    const std::int64_t span = hi - lo;
-    r1.tlen = r1.pos <= r2.pos ? span : -span;
-    r2.tlen = -r1.tlen;
-  }
-  return {std::move(r1), std::move(r2)};
 }
 
 }  // namespace gpf::align

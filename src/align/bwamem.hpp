@@ -4,7 +4,9 @@
 // paired-end scoring and mate rescue.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,8 +50,18 @@ struct AlignmentCandidate {
 
 /// The Aligner-stage engine.  Thread-safe: alignment is const over the
 /// shared index.
+///
+/// Pairs align in batches of kPairsPerBatch, in phases: seed and cluster
+/// every read, extend every cluster in one glocal_batch call, pair the
+/// candidates, rescue unplaced mates in a second glocal_batch call, then
+/// build the records.  Batching changes only how the extensions are
+/// scheduled: each pair's records equal those of aligning it alone.
 class ReadAligner {
  public:
+  /// Pairs per batch: enough extensions to fill the SIMD lanes, few enough
+  /// that a batch's buffers stay small.
+  static constexpr std::size_t kPairsPerBatch = 256;
+
   ReadAligner(const FmIndex& index, AlignerOptions options = {});
 
   /// Aligns one read; returns an unmapped record when no candidate clears
@@ -57,12 +69,14 @@ class ReadAligner {
   SamRecord align_single(const FastqRecord& read) const;
 
   /// Aligns a mate pair with pairing score and mate rescue; returns
-  /// (first, second) records with pairing flags set.
+  /// (first, second) records with pairing flags set.  The one-pair call of
+  /// align_pairs.
   std::pair<SamRecord, SamRecord> align_pair(const FastqPair& pair) const;
 
-  /// All extension candidates for a read sequence, best first.  Exposed
-  /// for tests and for the SNAP-comparison bench.
-  std::vector<AlignmentCandidate> candidates(const std::string& seq) const;
+  /// Aligns every pair and appends its (first, second) records to `out`,
+  /// in input order.
+  void align_pairs(std::span<const FastqPair> pairs,
+                   std::vector<SamRecord>& out) const;
 
   const AlignerOptions& options() const { return options_; }
 
@@ -72,25 +86,40 @@ class ReadAligner {
     std::int64_t diag;  // ref_pos - query_offset
     bool reverse;
   };
+  /// One read of a batch: its sequence and reverse complement.
+  struct ReadView {
+    const std::string* seq;
+    const std::string* rc;
+  };
+  /// A glocal job's placement: the aligned read's contig, strand and the
+  /// window's reference start.
+  struct Placement {
+    std::int32_t contig_id;
+    bool reverse;
+    std::int64_t start;
+  };
 
-  /// candidates() with the read's reverse complement already computed.
-  std::vector<AlignmentCandidate> candidates(const std::string& seq,
-                                             const std::string& rc) const;
+  /// Every read's extension candidates that clear min_score, best first.
+  void extend_reads(std::span<const ReadView> reads,
+                    std::vector<std::vector<AlignmentCandidate>>& cands) const;
   void collect_seeds(const std::string& seq, bool reverse,
                      std::vector<SeedHit>& hits) const;
-  AlignmentCandidate extend_cluster(const std::string& seq,
-                                    const SeedHit& anchor) const;
+  /// The most-voted seed clusters of a read, one representative hit each.
+  void rank_clusters(const std::string& seq, const std::string& rc,
+                     std::vector<SeedHit>& anchors) const;
+  /// The alignment `r` of a `read_len`-base read as a candidate, with soft
+  /// clips for the unaligned ends.
+  static AlignmentCandidate to_candidate(const AlignmentResult& r,
+                                         const Placement& at,
+                                         std::size_t read_len);
   /// `rc` is the reverse complement of `read.sequence`.
   SamRecord to_record(const FastqRecord& read, const std::string& rc,
                       const AlignmentCandidate& cand) const;
-  /// Tries to place `seq` (reverse complement `rc`) near `anchor_pos` on
-  /// `contig` with direct SW.
-  AlignmentCandidate rescue(const std::string& seq, const std::string& rc,
-                            std::int32_t contig_id, std::int64_t anchor_pos,
-                            bool reverse) const;
   static std::uint8_t mapq_from_scores(std::int32_t best,
                                        std::int32_t second,
                                        std::int32_t max_possible);
+  void align_batch(std::span<const FastqPair> pairs,
+                   std::vector<SamRecord>& out) const;
 
   const FmIndex* index_;
   AlignerOptions options_;

@@ -1,6 +1,7 @@
 #include "align/smith_waterman.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -48,6 +49,59 @@ enum : std::uint8_t {
 constexpr std::uint8_t kDirMask = 0x3;
 constexpr std::uint8_t kEExtBit = 0x4;
 constexpr std::uint8_t kFExtBit = 0x8;
+
+/// Walks the packed traceback from (i, j) back to a kStop cell; `cell(i, j)`
+/// returns the packed byte the reference DP would hold there.  Shared by
+/// the anti-diagonal kernel and the batch kernel, which store the same
+/// bytes in different orders.
+template <typename CellFn>
+AlignmentResult traceback_cells(std::string_view query, std::string_view ref,
+                                std::int64_t i, std::int64_t j,
+                                std::int32_t score, const CellFn& cell) {
+  AlignmentResult out;
+  out.score = score;
+  out.query_end = static_cast<std::int32_t>(i);
+  out.ref_end = static_cast<std::int32_t>(j);
+
+  Cigar reversed;
+  auto push = [&reversed](CigarOp op, std::uint32_t len) {
+    if (!reversed.empty() && reversed.back().op == op) {
+      reversed.back().length += len;
+    } else {
+      reversed.push_back({op, len});
+    }
+  };
+
+  while (i > 0 || j > 0) {
+    const std::uint8_t dir = cell(i, j) & kDirMask;
+    if (dir == kStop) break;
+    if (dir == kDiag) {
+      push(CigarOp::kMatch, 1);
+      if (query[i - 1] != ref[j - 1]) ++out.mismatches;
+      --i;
+      --j;
+    } else if (dir == kFromE) {
+      // Walk the deletion run.
+      while (j > 0) {
+        push(CigarOp::kDeletion, 1);
+        const bool extended = (cell(i, j) & kEExtBit) != 0;
+        --j;
+        if (!extended) break;
+      }
+    } else {  // kFromF
+      while (i > 0) {
+        push(CigarOp::kInsertion, 1);
+        const bool extended = (cell(i, j) & kFExtBit) != 0;
+        --i;
+        if (!extended) break;
+      }
+    }
+  }
+  out.query_start = static_cast<std::int32_t>(i);
+  out.ref_start = static_cast<std::int32_t>(j);
+  out.cigar.assign(reversed.rbegin(), reversed.rend());
+  return out;
+}
 
 /// Widest vector the kernel runs; every buffer is padded by this many
 /// entries so the last vector of a diagonal may run past its band.
@@ -137,13 +191,31 @@ thread_local SwWorkspace tls_sw_workspace;
 constexpr std::int32_t kQueryN = -1000;
 constexpr std::int32_t kRefN = -2000;
 
-struct Wavefront {
+/// The band of one (query length, window length) shape: row i holds
+/// columns jlo(i) .. jhi(i), the reference DP's band.  It keeps |j - i|
+/// within `band`, widened by the length difference so a global path
+/// always fits.
+struct BandShape {
+  std::int64_t m = 0, n = 0;
+  std::int64_t lo_w = 0, hi_w = 0;  // band half-widths
+
+  BandShape(std::int64_t qlen, std::int64_t wlen, int band)
+      : m(qlen), n(wlen) {
+    lo_w = band + std::max<std::int64_t>(0, m - n);
+    hi_w = band + std::max<std::int64_t>(0, n - m);
+  }
+  std::int64_t jlo(std::int64_t i) const {
+    return std::max<std::int64_t>(1, i - lo_w);
+  }
+  std::int64_t jhi(std::int64_t i) const {
+    return std::min<std::int64_t>(n, i + hi_w);
+  }
+};
+
+struct Wavefront : BandShape {
   std::string_view query, ref;
   ScoringScheme scoring;
   bool local = false;
-
-  std::int64_t m = 0, n = 0;
-  std::int64_t lo_w = 0, hi_w = 0;  // band half-widths (see Wavefront())
   SwWorkspace& ws;
 
   // Best cell for local mode: the reference full-matrix sweep's first
@@ -154,22 +226,11 @@ struct Wavefront {
 
   Wavefront(std::string_view q, std::string_view r, const ScoringScheme& s,
             int band, bool local_mode)
-      : query(q), ref(r), scoring(s), local(local_mode),
+      : BandShape(static_cast<std::int64_t>(q.size()),
+                  static_cast<std::int64_t>(r.size()), band),
+        query(q), ref(r), scoring(s), local(local_mode),
         ws(tls_sw_workspace) {
-    m = static_cast<std::int64_t>(query.size());
-    n = static_cast<std::int64_t>(ref.size());
-    // Band bounds: keep |j - i| within band, widened by the length
-    // difference so a global path always fits.
-    lo_w = band + std::max<std::int64_t>(0, m - n);
-    hi_w = band + std::max<std::int64_t>(0, n - m);
     layout();
-  }
-
-  std::int64_t jlo(std::int64_t i) const {
-    return std::max<std::int64_t>(1, i - lo_w);
-  }
-  std::int64_t jhi(std::int64_t i) const {
-    return std::min<std::int64_t>(n, i + hi_w);
   }
 
   /// Sizes the workspace and fills the per-diagonal row range: diagonal d
@@ -246,49 +307,9 @@ struct Wavefront {
 
   AlignmentResult traceback(std::int64_t i, std::int64_t j,
                             std::int32_t score) const {
-    AlignmentResult out;
-    out.score = score;
-    out.query_end = static_cast<std::int32_t>(i);
-    out.ref_end = static_cast<std::int32_t>(j);
-
-    Cigar reversed;
-    auto push = [&reversed](CigarOp op, std::uint32_t len) {
-      if (!reversed.empty() && reversed.back().op == op) {
-        reversed.back().length += len;
-      } else {
-        reversed.push_back({op, len});
-      }
-    };
-
-    while (i > 0 || j > 0) {
-      const std::uint8_t dir = cell(i, j) & kDirMask;
-      if (dir == kStop) break;
-      if (dir == kDiag) {
-        push(CigarOp::kMatch, 1);
-        if (query[i - 1] != ref[j - 1]) ++out.mismatches;
-        --i;
-        --j;
-      } else if (dir == kFromE) {
-        // Walk the deletion run.
-        while (j > 0) {
-          push(CigarOp::kDeletion, 1);
-          const bool extended = (cell(i, j) & kEExtBit) != 0;
-          --j;
-          if (!extended) break;
-        }
-      } else {  // kFromF
-        while (i > 0) {
-          push(CigarOp::kInsertion, 1);
-          const bool extended = (cell(i, j) & kFExtBit) != 0;
-          --i;
-          if (!extended) break;
-        }
-      }
-    }
-    out.query_start = static_cast<std::int32_t>(i);
-    out.ref_start = static_cast<std::int32_t>(j);
-    out.cigar.assign(reversed.rbegin(), reversed.rend());
-    return out;
+    return traceback_cells(
+        query, ref, i, j, score,
+        [this](std::int64_t ci, std::int64_t cj) { return cell(ci, cj); });
   }
 };
 
@@ -460,10 +481,283 @@ void check_band(int band) {
   if (band < 0) throw std::invalid_argument("smith_waterman: negative band");
 }
 
+// --- inter-sequence batch kernel --------------------------------------------
+//
+// glocal_batch puts one (query, window) job in each int16 lane, as SWIPE
+// does (Rognes, BMC Bioinformatics 2011): jobs of one shape share the band
+// geometry, so every lane sweeps its own band row by row in lockstep, with
+// no lane idle on any cell.  Each lane evaluates the reference recurrence's
+// expressions in row-major order, with its tie-breaks and its first strict
+// maximum, and keeps the same packed traceback byte per cell, so the
+// results equal glocal()'s.  int16 is exact only while every value the DP
+// compares fits (see detail::glocal_batch_fits_int16); other jobs take the
+// int32 kernel.
+
+/// The batch kernel's out-of-band value.  Sentinel-derived values sit at
+/// most two gap terms away from it, finite ones at least two magnitudes
+/// below zero, and glocal_batch_fits_int16 keeps the two ranges apart.
+constexpr std::int16_t kNegInf16 = std::numeric_limits<std::int16_t>::min() / 2;
+
+typedef std::int16_t Vec8s __attribute__((vector_size(16)));
+typedef std::int16_t Vec16s __attribute__((vector_size(32)));
+typedef std::uint8_t Bytes8 __attribute__((vector_size(8)));
+
+/// Jobs per vector: 1 for std::int16_t, 8 for Vec8s, 16 for Vec16s.
+template <typename V>
+constexpr std::size_t kJobLanes = sizeof(V) / sizeof(std::int16_t);
+
+template <typename V>
+[[gnu::always_inline]] inline void load(V& v, const std::int16_t* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void store(std::int16_t* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// Stores the low byte of each int16 lane.
+template <typename V>
+[[gnu::always_inline]] inline void store_lane_bytes(std::uint8_t* p,
+                                                    const V& v) {
+  if constexpr (kJobLanes<V> == 1) {
+    *p = static_cast<std::uint8_t>(v);
+  } else if constexpr (kJobLanes<V> == 8) {
+    const Bytes8 b = __builtin_convertvector(v, Bytes8);
+    std::memcpy(p, &b, sizeof b);
+  } else {
+    static_assert(kJobLanes<V> == 16);
+    const Bytes16 b = __builtin_convertvector(v, Bytes16);
+    std::memcpy(p, &b, sizeof b);
+  }
+}
+
+/// Lane-interleaved buffers for one vector of jobs: entry k of lane l sits
+/// at [k * lanes + l].  Capacity survives across calls.
+struct BatchWorkspace {
+  std::vector<std::int16_t> query;  // query codes by row
+  std::vector<std::int16_t> ref;    // window codes by column
+  std::vector<std::int16_t> h, f;   // H and F of the last row, by column
+  std::vector<std::uint8_t> cells;  // packed traceback, row-major
+  std::vector<std::size_t> row_base;  // first cell of row i
+  std::vector<std::int16_t> best, best_i, best_j;  // per lane
+  bool ref_n = false;  // some window holds an N
+};
+
+thread_local BatchWorkspace tls_batch_workspace;
+
+/// Fills the workspace for `lanes` jobs of one shape; lanes past `count`
+/// repeat job 0 and their results are dropped.
+void prepare_batch(BatchWorkspace& ws, const BandShape& s,
+                   const GlocalJob* const* jobs, std::size_t count,
+                   std::size_t lanes) {
+  const auto m = static_cast<std::size_t>(s.m);
+  const auto n = static_cast<std::size_t>(s.n);
+  ws.query.resize(m * lanes);
+  ws.ref.resize(n * lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const GlocalJob& job = *jobs[l < count ? l : 0];
+    for (std::size_t i = 0; i < m; ++i) {
+      ws.query[i * lanes + l] = static_cast<std::int16_t>(
+          job.query[i] == 'N' ? kQueryN
+                              : static_cast<unsigned char>(job.query[i]));
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      ws.ref[j * lanes + l] = static_cast<std::int16_t>(
+          job.ref[j] == 'N' ? kRefN : static_cast<unsigned char>(job.ref[j]));
+    }
+  }
+  ws.ref_n = std::find(ws.ref.begin(), ws.ref.end(),
+                       static_cast<std::int16_t>(kRefN)) != ws.ref.end();
+  // Row 0 is the local-mode boundary: H = 0, F = -inf.
+  ws.h.assign((n + 1) * lanes, 0);
+  ws.f.assign((n + 1) * lanes, kNegInf16);
+  ws.row_base.resize(m + 1);
+  std::size_t total = 0;
+  for (std::int64_t i = 1; i <= s.m; ++i) {
+    ws.row_base[static_cast<std::size_t>(i)] = total;
+    total += static_cast<std::size_t>(s.jhi(i) - s.jlo(i) + 1);
+  }
+  if (ws.cells.size() < total * lanes) ws.cells.resize(total * lanes);
+  ws.best.resize(lanes);
+  ws.best_i.resize(lanes);
+  ws.best_j.resize(lanes);
+}
+
+/// The row-major sweep of kJobLanes<V> jobs at once; kRefN compiles in the
+/// window-N check.  Around each row's band, H and F hold what the reference
+/// DP has there: the row-0 and column-0 boundary, or kNegInf16.  Bands
+/// only move right, so F past the band was never written, and H's column
+/// jhi + 1, the furthest the next row reads, is reset after each row.
+template <typename V, bool kRefN>
+[[gnu::always_inline]] inline void sweep_batch(const BandShape& s,
+                                               const ScoringScheme& sc,
+                                               BatchWorkspace& ws) {
+  constexpr auto kL = static_cast<std::int64_t>(kJobLanes<V>);
+  const V zero = {};
+  const V ones = zero - 1;
+  const V neg_inf = zero + kNegInf16;
+  const V gap_open = zero + static_cast<std::int16_t>(sc.gap_open);
+  const V gap_extend = zero + static_cast<std::int16_t>(sc.gap_extend);
+  const V match = zero + static_cast<std::int16_t>(sc.match);
+  const V mismatch = zero + static_cast<std::int16_t>(sc.mismatch);
+  const V n_score = zero + static_cast<std::int16_t>(sc.n_score);
+  const V dir_diag = zero + static_cast<std::int16_t>(kDiag);
+  const V dir_f = zero + static_cast<std::int16_t>(kFromF);
+  const V e_bit = zero + static_cast<std::int16_t>(kEExtBit);
+  const V f_bit = zero + static_cast<std::int16_t>(kFExtBit);
+  std::int16_t* const hrow = ws.h.data();
+  std::int16_t* const frow = ws.f.data();
+  const std::int16_t* const qry = ws.query.data();
+  const std::int16_t* const ref = ws.ref.data();
+  V best = zero, best_i = zero, best_j = zero;
+
+  for (std::int64_t i = 1; i <= s.m; ++i) {
+    const std::int64_t lo = s.jlo(i);
+    const std::int64_t hi = s.jhi(i);
+    std::uint8_t* tb =
+        ws.cells.data() + ws.row_base[static_cast<std::size_t>(i)] * kL;
+    V q;
+    load(q, qry + (i - 1) * kL);
+    // This row's scores against a non-N window base.  The two N codes
+    // equal no byte nor each other, so q == r never holds at an N.
+    const V q_n = q < zero ? ones : zero;
+    const V q_match = q_n ? n_score : match;
+    const V q_mismatch = q_n ? n_score : mismatch;
+    const V row = zero + static_cast<std::int16_t>(i);
+    V col = zero + static_cast<std::int16_t>(lo);
+    // H(i, lo - 1) is the column-0 boundary or out of band; E is -inf.
+    V h_left = lo == 1 ? zero : neg_inf;
+    V e_left = neg_inf;
+    V row_best = zero, row_j = zero;
+    V h_diag;
+    load(h_diag, hrow + (lo - 1) * kL);  // H(i - 1, lo - 1)
+    for (std::int64_t j = lo; j <= hi; ++j) {
+      V h_up, f_up, r;
+      load(h_up, hrow + j * kL);
+      load(f_up, frow + j * kL);
+      load(r, ref + (j - 1) * kL);
+      // E: gap in query (deletion), consumes ref.
+      const V e_open = h_left + gap_open;
+      const V e_extend = e_left + gap_extend;
+      const V e = e_open > e_extend ? e_open : e_extend;
+      // F: gap in ref (insertion), consumes query.
+      const V f_open = h_up + gap_open;
+      const V f_extend = f_up + gap_extend;
+      const V f = f_open > f_extend ? f_open : f_extend;
+      // H, with the reference's if-chain as max and mask arithmetic.
+      V sub = q == r ? q_match : q_mismatch;
+      if constexpr (kRefN) sub = r < zero ? n_score : sub;
+      const V h_match = h_diag + sub;
+      const V take_e = e > h_match ? ones : zero;
+      V h = e > h_match ? e : h_match;
+      const V take_f = f > h ? ones : zero;
+      h = f > h ? f : h;
+      V dir = (dir_diag - take_e) | (take_f & dir_f);  // kFromF wins
+      dir &= h > zero ? ones : zero;
+      h = h > zero ? h : zero;
+      const V packed = dir | (e_extend > e_open ? e_bit : zero) |
+                       (f_extend > f_open ? f_bit : zero);
+      store_lane_bytes(tb, packed);
+      tb += kL;
+      store(hrow + j * kL, h);
+      store(frow + j * kL, f);
+      // The row's first strict maximum.
+      row_j = h > row_best ? col : row_j;
+      row_best = h > row_best ? h : row_best;
+      h_diag = h_up;
+      h_left = h;
+      e_left = e;
+      col += 1;
+    }
+    // The first strict maximum in row-major order.
+    best_i = row_best > best ? row : best_i;
+    best_j = row_best > best ? row_j : best_j;
+    best = row_best > best ? row_best : best;
+    if (hi < s.n) store(hrow + (hi + 1) * kL, neg_inf);
+  }
+  store(ws.best.data(), best);
+  store(ws.best_i.data(), best_i);
+  store(ws.best_j.data(), best_j);
+}
+
+/// sweep_batch, with the window-N check only when some window holds an N.
+template <typename V>
+[[gnu::always_inline]] inline void sweep_batch_ref(const BandShape& s,
+                                                   const ScoringScheme& sc,
+                                                   BatchWorkspace& ws) {
+  if (ws.ref_n) {
+    sweep_batch<V, true>(s, sc, ws);
+  } else {
+    sweep_batch<V, false>(s, sc, ws);
+  }
+}
+
+#if defined(GPF_SIMD_X86)
+__attribute__((target("avx2"))) void sweep_batch_avx2(
+    const BandShape& s, const ScoringScheme& sc, BatchWorkspace& ws) {
+  sweep_batch_ref<Vec16s>(s, sc, ws);
+}
+#endif
+
+/// Jobs per vector at `level`.
+std::size_t batch_lanes(simd::Level level) {
+  switch (level) {
+    case simd::Level::kScalar:
+      return 1;
+    case simd::Level::kSse4:
+      return kJobLanes<Vec8s>;
+    case simd::Level::kAvx2:
+#if defined(GPF_SIMD_X86)
+      return kJobLanes<Vec16s>;
+#else
+      return kJobLanes<Vec8s>;
+#endif
+  }
+  return 1;
+}
+
+/// Aligns `count` jobs of shape `s` (at most batch_lanes(level)) in one
+/// sweep and writes each lane's result to out[index[l]].
+void run_batch(simd::Level level, const BandShape& s, const ScoringScheme& sc,
+               const GlocalJob* const* jobs, const std::uint32_t* index,
+               std::size_t count, std::vector<AlignmentResult>& out) {
+  BatchWorkspace& ws = tls_batch_workspace;
+  const std::size_t lanes = batch_lanes(level);
+  prepare_batch(ws, s, jobs, count, lanes);
+  if (lanes == 1) {
+    sweep_batch_ref<std::int16_t>(s, sc, ws);
+  } else if (lanes == kJobLanes<Vec8s>) {
+    sweep_batch_ref<Vec8s>(s, sc, ws);
+  } else {
+#if defined(GPF_SIMD_X86)
+    sweep_batch_avx2(s, sc, ws);
+#endif
+  }
+  for (std::size_t l = 0; l < count; ++l) {
+    const std::int32_t best = ws.best[l];
+    if (best <= 0) {
+      out[index[l]] = {};
+      continue;
+    }
+    const auto cell = [&ws, &s, l, lanes](std::int64_t i, std::int64_t j) {
+      if (i == 0 || j == 0 || j < s.jlo(i) || j > s.jhi(i)) {
+        return std::uint8_t{kStop};
+      }
+      const std::size_t c =
+          ws.row_base[static_cast<std::size_t>(i)] +
+          static_cast<std::size_t>(j - s.jlo(i));
+      return ws.cells[c * lanes + l];
+    };
+    out[index[l]] = traceback_cells(jobs[l]->query, jobs[l]->ref,
+                                    ws.best_i[l], ws.best_j[l], best, cell);
+  }
+}
+
 // --- reference kernel -------------------------------------------------------
 //
 // The original full-matrix Gotoh DP, kept verbatim so tests can assert the
-// anti-diagonal kernel above is result-identical (see
+// kernels above are result-identical (see
 // detail::banded_global_reference / detail::glocal_reference).
 
 /// Gotoh DP shared by both reference entry points.  `local` toggles the
@@ -626,6 +920,12 @@ AlignmentResult glocal(std::string_view query, std::string_view ref,
   return detail::glocal_at(simd::active_level(), query, ref, scoring, band);
 }
 
+void glocal_batch(std::span<const GlocalJob> jobs,
+                  const ScoringScheme& scoring, int band,
+                  std::vector<AlignmentResult>& out) {
+  detail::glocal_batch_at(simd::active_level(), jobs, scoring, band, out);
+}
+
 namespace detail {
 
 AlignmentResult banded_global_at(simd::Level level, std::string_view query,
@@ -649,6 +949,84 @@ AlignmentResult glocal_at(simd::Level level, std::string_view query,
   sweep_at(level, w);
   if (w.best <= 0) return {};
   return w.traceback(w.best_i, w.best_j, w.best);
+}
+
+void glocal_batch_at(simd::Level level, std::span<const GlocalJob> jobs,
+                     const ScoringScheme& scoring, int band,
+                     std::vector<AlignmentResult>& out) {
+  check_band(band);
+  out.assign(jobs.size(), AlignmentResult{});
+  // Jobs the int16 lanes hold exactly, grouped by shape; the rest take
+  // the int32 kernel.
+  std::vector<std::uint32_t> order;
+  order.reserve(jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const GlocalJob& job = jobs[k];
+    if (job.query.empty() || job.ref.empty()) continue;
+    if (glocal_batch_fits_int16(job.query.size(), job.ref.size(), scoring)) {
+      order.push_back(static_cast<std::uint32_t>(k));
+    } else {
+      out[k] = glocal_at(level, job.query, job.ref, scoring, band);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&jobs](std::uint32_t a, std::uint32_t b) {
+                     return std::pair(jobs[a].query.size(),
+                                      jobs[a].ref.size()) <
+                            std::pair(jobs[b].query.size(),
+                                      jobs[b].ref.size());
+                   });
+  const std::size_t lanes = batch_lanes(level);
+  std::vector<const GlocalJob*> vec(lanes);
+  for (std::size_t g = 0; g < order.size();) {
+    const GlocalJob& first = jobs[order[g]];
+    std::size_t end = g + 1;
+    while (end < order.size() &&
+           jobs[order[end]].query.size() == first.query.size() &&
+           jobs[order[end]].ref.size() == first.ref.size()) {
+      ++end;
+    }
+    const BandShape shape(static_cast<std::int64_t>(first.query.size()),
+                          static_cast<std::int64_t>(first.ref.size()), band);
+    for (; g < end; g += lanes) {
+      const std::size_t count = std::min(lanes, end - g);
+      if (2 * count < lanes) {
+        // Less than half a vector: the int32 kernel is cheaper.
+        for (std::size_t k = g; k < end; ++k) {
+          out[order[k]] = glocal_at(level, jobs[order[k]].query,
+                                    jobs[order[k]].ref, scoring, band);
+        }
+        break;
+      }
+      for (std::size_t l = 0; l < count; ++l) vec[l] = &jobs[order[g + l]];
+      run_batch(level, shape, scoring, vec.data(), order.data() + g, count,
+                out);
+    }
+    g = end;
+  }
+}
+
+/// True when int16 holds every value a local-mode DP of a `qlen`-base query
+/// compares: scores up to qlen times the largest substitution score, and
+/// values down to kNegInf16 plus two gap terms, with the finite ones (no
+/// lower than two score magnitudes below zero) above kNegInf16.  Positive
+/// gap scores break those bounds and take the int32 kernel.
+bool glocal_batch_fits_int16(std::size_t qlen, std::size_t wlen,
+                             const ScoringScheme& s) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int16_t>::max();
+  if (s.gap_open > 0 || s.gap_extend > 0) return false;
+  if (qlen > static_cast<std::size_t>(kMax) ||
+      wlen > static_cast<std::size_t>(kMax)) {
+    return false;
+  }
+  const std::int64_t magnitude = std::max<std::int64_t>(
+      {std::abs(std::int64_t{s.match}), std::abs(std::int64_t{s.mismatch}),
+       std::abs(std::int64_t{s.n_score}), -std::int64_t{s.gap_open},
+       -std::int64_t{s.gap_extend}});
+  if (2 * magnitude >= -std::int64_t{kNegInf16}) return false;
+  const std::int64_t top =
+      std::max<std::int64_t>({0, s.match, s.mismatch, s.n_score});
+  return static_cast<std::int64_t>(qlen) * top <= kMax;
 }
 
 AlignmentResult banded_global_reference(std::string_view query,

@@ -2,18 +2,27 @@
 // the extension kernel behind the BWA-MEM-like aligner, the mate rescue, the
 // hash aligner, the indel realigner and the genotyper.
 //
-// The kernel sweeps the band by anti-diagonals: the cells of one diagonal do
-// not depend on each other, so each SIMD vector computes consecutive rows of
-// a diagonal in int32 lanes (8 under AVX2).  Every lane evaluates the
-// row-major recurrence's integer expressions in the same order, so scores,
-// spans, mismatches and CIGARs equal the full-matrix reference DP's at every
-// dispatch level (see EXPERIMENTS.md, "Banded SW").  A negative band throws
+// Two production kernels compute the same cells as the full-matrix
+// reference DP and return its results exactly (see EXPERIMENTS.md, "Banded
+// SW"):
+//  * glocal / banded_global align one pair by anti-diagonals: the cells of
+//    one diagonal do not depend on each other, so each SIMD vector computes
+//    consecutive rows of a diagonal in int32 lanes (8 under AVX2).
+//  * glocal_batch aligns many pairs at once, one per int16 lane (16 under
+//    AVX2), each lane sweeping its own band row by row.  Jobs whose scores
+//    could leave int16, and groups of one shape too small to fill half a
+//    vector, take the int32 kernel.
+// Every lane evaluates the row-major recurrence's integer expressions in
+// the same order, so scores, spans, mismatches and CIGARs equal the
+// reference DP's at every dispatch level.  A negative band throws
 // std::invalid_argument.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/simd.hpp"
 #include "formats/cigar.hpp"
@@ -54,7 +63,33 @@ AlignmentResult banded_global(std::string_view query, std::string_view ref,
 AlignmentResult glocal(std::string_view query, std::string_view ref,
                        const ScoringScheme& scoring, int band);
 
+/// One glocal() alignment in a batch: the whole query against any
+/// substring of `ref`.  The views must outlive the glocal_batch call.
+struct GlocalJob {
+  std::string_view query;
+  std::string_view ref;
+};
+
+/// glocal() over every job: out[k] (resized to jobs.size()) equals
+/// glocal(jobs[k].query, jobs[k].ref, scoring, band).  Jobs of one
+/// (query length, window length) shape run in lockstep, one per SIMD lane.
+void glocal_batch(std::span<const GlocalJob> jobs,
+                  const ScoringScheme& scoring, int band,
+                  std::vector<AlignmentResult>& out);
+
 namespace detail {
+
+/// glocal_batch at an explicit dispatch level (no higher than
+/// simd::detect_level()): kScalar runs one job per sweep, kSse4 eight,
+/// kAvx2 sixteen.
+void glocal_batch_at(simd::Level level, std::span<const GlocalJob> jobs,
+                     const ScoringScheme& scoring, int band,
+                     std::vector<AlignmentResult>& out);
+
+/// Whether glocal_batch runs a job of this shape in int16 lanes; the others
+/// take the int32 kernel.  Exposed so tests can cover both sides.
+bool glocal_batch_fits_int16(std::size_t query_len, std::size_t window_len,
+                             const ScoringScheme& scoring);
 
 /// banded_global / glocal at an explicit dispatch level (no higher than
 /// simd::detect_level()): kScalar runs the kernel one lane wide, kSse4 the

@@ -84,6 +84,21 @@ HuffmanCoder HuffmanCoder::from_frequencies(
 
 HuffmanCoder HuffmanCoder::from_code_lengths(
     std::span<const std::uint8_t> lengths) {
+  // The lengths usually come straight off the wire, and build_canonical
+  // indexes its tables by them: reject any length past kMaxBits and any
+  // over-subscribed set (Kraft sum above 1), whose canonical codes would
+  // overflow their lengths.  An incomplete set stays valid; the
+  // single-symbol coder is one.
+  std::uint64_t kraft = 0;  // in units of 2^-kMaxBits
+  for (const std::uint8_t len : lengths) {
+    if (len > kMaxBits) {
+      throw std::invalid_argument("Huffman: code length exceeds 32 bits");
+    }
+    if (len > 0) kraft += std::uint64_t{1} << (kMaxBits - len);
+    if (kraft > (std::uint64_t{1} << kMaxBits)) {
+      throw std::invalid_argument("Huffman: over-subscribed code lengths");
+    }
+  }
   HuffmanCoder coder;
   coder.lengths_.assign(lengths.begin(), lengths.end());
   coder.build_canonical();

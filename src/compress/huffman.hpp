@@ -23,7 +23,9 @@ class HuffmanCoder {
   static HuffmanCoder from_frequencies(
       std::span<const std::uint64_t> frequencies);
 
-  /// Reconstructs a coder from serialized code lengths.
+  /// Reconstructs a coder from serialized code lengths.  Throws
+  /// std::invalid_argument for a length above 32 or a set whose Kraft sum
+  /// exceeds 1; an incomplete set is accepted.
   static HuffmanCoder from_code_lengths(
       std::span<const std::uint8_t> lengths);
 

@@ -240,14 +240,12 @@ void BwaMemProcess::run(PipelineContext& ctx) {
   // setup cost multiplied by dataset size.
   const align::ReadAligner& aligner = ctx.aligner();
 
-  auto aligned = input_->get().flat_map(
-      "aligner.bwamem",
-      [&aligner](const FastqPair& pair) -> std::vector<SamRecord> {
-        auto [r1, r2] = aligner.align_pair(pair);
+  // Whole partitions, so the aligner batches extensions across reads
+  // (align_pairs works through them kPairsPerBatch pairs at a time).
+  auto aligned = input_->get().map_partitions<SamRecord>(
+      "aligner.bwamem", [&aligner](const std::vector<FastqPair>& part) {
         std::vector<SamRecord> out;
-        out.reserve(2);
-        out.push_back(std::move(r1));
-        out.push_back(std::move(r2));
+        aligner.align_pairs(part, out);
         return out;
       });
   output_->set(

@@ -11,6 +11,7 @@
 #include "align/hash_aligner.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/suffix_array.hpp"
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "engine/fault_injector.hpp"
@@ -578,6 +579,249 @@ TEST(SmithWatermanDifferential, PipelineShapes) {
   }
 }
 
+// --- batch kernel: glocal_batch against the reference -----------------------
+//
+// glocal_batch must return, for every job, the full-matrix reference's
+// glocal result at every dispatch level: 16 lanes under AVX2, 8 portable,
+// 1 at kScalar, with the int32 kernel taking the jobs int16 cannot hold and
+// the groups too small to fill half a vector.
+
+struct BatchCase {
+  std::string query;
+  std::string ref;
+};
+
+void expect_batch_matches_reference(const std::vector<BatchCase>& cases,
+                                    const ScoringScheme& s, int band,
+                                    const std::string& what) {
+  std::vector<GlocalJob> jobs;
+  for (const auto& c : cases) jobs.push_back({c.query, c.ref});
+  std::vector<AlignmentResult> want;
+  for (const auto& c : cases) {
+    want.push_back(detail::glocal_reference(c.query, c.ref, s, band));
+  }
+  const std::string label =
+      what + " seed " + std::to_string(fuzz_seed()) + " band " +
+      std::to_string(band) + " scoring {" + std::to_string(s.match) + "," +
+      std::to_string(s.mismatch) + "," + std::to_string(s.gap_open) + "," +
+      std::to_string(s.gap_extend) + "," + std::to_string(s.n_score) + "}";
+  auto check = [&](const std::vector<AlignmentResult>& got,
+                   const std::string& at) {
+    ASSERT_EQ(got.size(), cases.size()) << at;
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      expect_same_alignment(got[k], want[k],
+                            at + " job " + std::to_string(k) + " query '" +
+                                printable(cases[k].query) + "' ref '" +
+                                printable(cases[k].ref) + "'");
+    }
+  };
+  std::vector<AlignmentResult> got;
+  for (const simd::Level level : runnable_levels()) {
+    detail::glocal_batch_at(level, jobs, s, band, got);
+    check(got, std::string(simd::level_name(level)) + " " + label);
+  }
+  glocal_batch(jobs, s, band, got);
+  check(got, "dispatched " + label);
+}
+
+/// `count` read-extension jobs of one shape: mutated slices of random
+/// windows, some with N bytes.
+std::vector<BatchCase> extension_cases(Rng& rng, std::size_t count,
+                                       std::size_t qlen, std::size_t wlen) {
+  std::vector<BatchCase> cases;
+  while (cases.size() < count) {
+    BatchCase c;
+    c.ref = random_seq(rng, wlen, "ACGT");
+    c.query = c.ref.substr(rng.below(wlen - qlen + 1), qlen);
+    for (std::size_t k = rng.below(6); k > 0; --k) {
+      c.query[rng.below(qlen)] = "ACGTN"[rng.below(5)];
+    }
+    if (qlen > 8 && rng.below(3) == 0) {
+      // A 1-3 base deletion padded back to length, so the shape holds.
+      const std::size_t at = rng.below(qlen - 4);
+      const std::size_t len = 1 + rng.below(3);
+      c.query.erase(at, len);
+      c.query += random_seq(rng, len, "ACGT");
+    }
+    if (rng.below(4) == 0) c.ref[rng.below(wlen)] = 'N';
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+TEST(SmithWatermanDifferential, BatchSizes) {
+  // Below, at and past one and two 16-lane vectors: padded lanes, full
+  // vectors and an int32 tail.
+  Rng rng(fuzz_seed() + 20);
+  for (const std::size_t count : {1, 15, 16, 17, 33}) {
+    expect_batch_matches_reference(extension_cases(rng, count, 100, 148), {},
+                                   16, "size " + std::to_string(count));
+  }
+}
+
+TEST(SmithWatermanDifferential, BatchMixedShapes) {
+  // Several shapes interleaved in one call, some groups big enough for a
+  // vector and some not, plus empty jobs.
+  Rng rng(fuzz_seed() + 21);
+  const struct {
+    std::size_t qlen, wlen, count;
+  } shapes[] = {{100, 148, 20}, {100, 140, 9},  {60, 90, 5},
+                {30, 30, 12},   {40, 20, 10},   {100, 1020, 8},
+                {1, 5, 9},      {7, 120, 3}};
+  std::vector<BatchCase> cases;
+  for (const auto& shape : shapes) {
+    auto group = extension_cases(rng, shape.count,
+                                 std::min(shape.qlen, shape.wlen),
+                                 shape.wlen);
+    if (shape.qlen > shape.wlen) {
+      for (auto& c : group) {
+        c.query += random_seq(rng, shape.qlen - shape.wlen, "ACGT");
+      }
+    }
+    cases.insert(cases.end(), group.begin(), group.end());
+  }
+  cases.push_back({"", "ACGT"});
+  cases.push_back({"ACGT", ""});
+  for (std::size_t k = cases.size(); k > 1; --k) {
+    std::swap(cases[k - 1], cases[rng.below(k)]);
+  }
+  expect_batch_matches_reference(cases, {}, 16, "mixed");
+  expect_batch_matches_reference(cases, random_scoring(rng),
+                                 static_cast<int>(rng.below(24)), "mixed");
+}
+
+TEST(SmithWatermanDifferential, BatchNBytesAndUnrelatedQueries) {
+  Rng rng(fuzz_seed() + 22);
+  std::vector<BatchCase> cases;
+  for (int k = 0; k < 24; ++k) {
+    // N-rich jobs: N scores n_score against anything, N included.
+    BatchCase c;
+    c.ref = random_seq(rng, 80, "ACGTN");
+    c.query = random_seq(rng, 50, k % 2 == 0 ? "ACGTN" : "NNNNA");
+    cases.push_back(std::move(c));
+  }
+  for (int k = 0; k < 20; ++k) {
+    // Unrelated queries: nothing scores above zero.
+    cases.push_back({std::string(50, "AC"[k % 2]), std::string(80, 'G')});
+  }
+  expect_batch_matches_reference(cases, {}, 8, "N and unrelated");
+  std::vector<GlocalJob> jobs;
+  for (const auto& c : cases) jobs.push_back({c.query, c.ref});
+  std::vector<AlignmentResult> got;
+  glocal_batch(jobs, {}, 8, got);
+  for (std::size_t k = 24; k < cases.size(); ++k) {
+    EXPECT_TRUE(got[k].cigar.empty()) << k;
+    EXPECT_EQ(got[k].score, 0) << k;
+  }
+}
+
+TEST(SmithWatermanDifferential, BatchEveryByteValue) {
+  // Bytes load as unsigned codes, so bytes >= 0x80 score by equality like
+  // any other, not as N.
+  Rng rng(fuzz_seed() + 26);
+  std::string all_bytes(256, '\0');
+  for (int b = 0; b < 256; ++b) all_bytes[b] = static_cast<char>(b);
+  std::vector<BatchCase> cases;
+  for (std::size_t start = 0; start < 256; start += 16) {
+    BatchCase c;
+    c.query = all_bytes.substr(start, 32 - start / 16);
+    c.ref = random_seq(rng, 8, all_bytes) + c.query +
+            random_seq(rng, 8 + start / 16, all_bytes);
+    c.query[rng.below(c.query.size())] = 'N';
+    cases.push_back(std::move(c));
+  }
+  // One shape for all: 16 jobs of 16..31 query bytes padded to 32.
+  for (auto& c : cases) {
+    c.query += random_seq(rng, 32 - c.query.size(), all_bytes);
+    c.ref.resize(48);
+  }
+  expect_batch_matches_reference(cases, {}, 4, "every byte");
+  expect_batch_matches_reference(cases, random_scoring(rng), 6, "every byte");
+}
+
+TEST(SmithWatermanDifferential, BatchTiedMaxima) {
+  // Periodic sequences: many cells share the best score, and each lane
+  // must keep the reference's row-major first one.
+  Rng rng(fuzz_seed() + 23);
+  const std::string_view units[] = {"A", "AC", "ACG", "AAC", "ACGT"};
+  for (int round = 0; round < 6; ++round) {
+    std::vector<BatchCase> cases;
+    for (int k = 0; k < 20; ++k) {
+      std::string ref, query;
+      const std::string_view unit = units[rng.below(std::size(units))];
+      while (ref.size() < 90) ref += unit;
+      const std::string_view qunit = units[rng.below(std::size(units))];
+      while (query.size() < 40) query += qunit;
+      ref.resize(90);
+      query.resize(40);
+      if (rng.below(2) == 0) query[rng.below(query.size())] = 'T';
+      cases.push_back({std::move(query), std::move(ref)});
+    }
+    ScoringScheme s;
+    if (round % 2 == 0) {
+      s.match = 1;
+      s.mismatch = -1;
+      s.gap_open = draw(rng, -2, 0);
+      s.gap_extend = draw(rng, -1, 0);
+    }
+    expect_batch_matches_reference(cases, s, static_cast<int>(rng.below(30)),
+                                   "tied");
+  }
+}
+
+TEST(SmithWatermanDifferential, BatchRandomScoringSchemes) {
+  Rng rng(fuzz_seed() + 24);
+  for (int round = 0; round < 12; ++round) {
+    ScoringScheme s = random_scoring(rng);
+    if (round % 4 == 0) {
+      // Extension dearer than opening, and a zero-cost gap open.
+      s.gap_extend = draw(rng, -9, -3);
+      s.gap_open = draw(rng, s.gap_extend + 1, 0);
+    }
+    const std::size_t qlen = 1 + rng.below(80);
+    const std::size_t wlen = qlen + rng.below(60);
+    expect_batch_matches_reference(extension_cases(rng, 18, qlen, wlen), s,
+                                   static_cast<int>(rng.below(30)),
+                                   "random scoring");
+  }
+}
+
+TEST(SmithWatermanDifferential, BatchInt16Boundary) {
+  // Schemes on either side of the int16 bound: the largest score a
+  // 100-base query can reach, and the gap magnitudes below the sentinel.
+  // Inside, the lanes run at the edge of int16; outside, the int32 kernel
+  // must take the job.
+  Rng rng(fuzz_seed() + 25);
+  const auto cases = extension_cases(rng, 17, 100, 148);
+  ScoringScheme top_in;
+  top_in.match = 327;  // 100 x 327 = 32700 <= 32767
+  ScoringScheme top_out = top_in;
+  top_out.match = 328;  // 32800
+  ScoringScheme gaps_in;
+  gaps_in.gap_open = -8191;
+  gaps_in.gap_extend = -8191;
+  gaps_in.mismatch = -8191;
+  ScoringScheme gaps_out = gaps_in;
+  gaps_out.gap_open = -8192;
+  ScoringScheme positive_gap;
+  positive_gap.gap_extend = 1;
+  EXPECT_TRUE(detail::glocal_batch_fits_int16(100, 148, top_in));
+  EXPECT_FALSE(detail::glocal_batch_fits_int16(100, 148, top_out));
+  EXPECT_FALSE(detail::glocal_batch_fits_int16(101, 148, top_in));
+  EXPECT_TRUE(detail::glocal_batch_fits_int16(100, 148, gaps_in));
+  EXPECT_FALSE(detail::glocal_batch_fits_int16(100, 148, gaps_out));
+  EXPECT_FALSE(detail::glocal_batch_fits_int16(100, 148, positive_gap));
+  for (const ScoringScheme& s :
+       {top_in, top_out, gaps_in, gaps_out, positive_gap}) {
+    expect_batch_matches_reference(cases, s, 16, "bound");
+  }
+  // One call whose query lengths straddle the bound.
+  std::vector<BatchCase> straddle = extension_cases(rng, 10, 100, 148);
+  const auto longer = extension_cases(rng, 10, 101, 148);
+  straddle.insert(straddle.end(), longer.begin(), longer.end());
+  expect_batch_matches_reference(straddle, top_in, 16, "straddle");
+}
+
 // --- FM-index differential wall --------------------------------------------
 //
 // search() and every stepwise extend() must return exactly the SA interval
@@ -1015,6 +1259,110 @@ TEST_F(AlignerFixture, BothMatesJunkStayUnmapped) {
   }
   EXPECT_TRUE(r1.flag & SamFlags::kPaired);
   EXPECT_TRUE(r2.flag & SamFlags::kPaired);
+}
+
+/// A fixed sample for the aligner goldens: simulated pairs, some with N
+/// bases; pairs whose second mate is corrupted past seeding, so only the
+/// mate rescue can place it; pairs of junk; and pairs at both ends of each
+/// contig, whose extension windows are clamped.
+std::vector<FastqPair> golden_pairs(const Reference& reference) {
+  const simdata::Donor donor(reference, {});
+  simdata::ReadSimSpec spec;
+  spec.coverage = 1.0;
+  spec.seed = 5;
+  std::vector<FastqPair> pairs =
+      simdata::simulate_reads(reference, donor, spec).pairs;
+  pairs.resize(std::min<std::size_t>(pairs.size(), 700));
+  Rng rng(613);
+  for (std::size_t k = 4; k < pairs.size(); k += 13) {
+    pairs[k].first.sequence[17] = 'N';
+    pairs[k].first.sequence[60] = 'N';
+  }
+  for (std::size_t k = 0; k < pairs.size(); k += 9) {
+    std::string& mate = pairs[k].second.sequence;
+    for (std::size_t i = rng.below(8); i < mate.size(); i += 8) {
+      mate[i] = mate[i] == 'A' ? 'C' : 'A';
+    }
+  }
+  const auto junk = [&rng] {
+    std::string s(100, 'A');
+    for (auto& c : s) c = "ACGT"[rng.below(4)];
+    return s;
+  };
+  const std::string qual(100, 'I');
+  for (int k = 0; k < 12; ++k) {
+    const std::string name = "junk" + std::to_string(k);
+    pairs.push_back({{name + "/1", junk(), qual}, {name + "/2", junk(), qual}});
+  }
+  const auto contigs = static_cast<std::int32_t>(reference.contig_count());
+  for (std::int32_t c = 0; c < contigs; ++c) {
+    const auto len =
+        static_cast<std::int64_t>(reference.contig(c).sequence.size());
+    for (const std::int64_t start : {std::int64_t{0}, std::int64_t{7},
+                                     len - 350, len - 357}) {
+      const std::string frag(reference.slice(c, start, 350));
+      const std::string name =
+          "end" + std::to_string(c) + ":" + std::to_string(start);
+      pairs.push_back(
+          {{name + "/1", frag.substr(0, 100), qual},
+           {name + "/2", simdata::reverse_complement(frag.substr(250, 100)),
+            qual}});
+    }
+  }
+  return pairs;
+}
+
+/// FNV-1a of the SAM text of `records` against `reference`.
+std::uint64_t sam_digest(const Reference& reference,
+                         const std::vector<SamRecord>& records) {
+  SamHeader header;
+  for (const auto& c : reference.contigs()) {
+    header.contigs.push_back(
+        {c.name, static_cast<std::int64_t>(c.sequence.size())});
+  }
+  const std::string sam = write_sam(header, records);
+  return fnv1a64(std::span(reinterpret_cast<const std::uint8_t*>(sam.data()),
+                           sam.size()));
+}
+
+TEST_F(AlignerFixture, SamDigestGolden) {
+  // The digest was recorded with the one-pair aligner that extended each
+  // cluster with its own glocal() call; the batched extension must
+  // reproduce it byte for byte at every dispatch level (CI runs this suite
+  // with GPF_FORCE_SCALAR=0 and =1).
+  const auto pairs = golden_pairs(reference);
+  std::vector<SamRecord> records;
+  aligner->align_pairs(pairs, records);
+  ASSERT_EQ(records.size(), 2 * pairs.size());
+  std::size_t unmapped = 0;
+  for (const auto& r : records) unmapped += r.is_unmapped() ? 1 : 0;
+  EXPECT_EQ(unmapped, 24u);  // the junk pairs
+  const std::uint64_t digest = sam_digest(reference, records);
+  EXPECT_EQ(digest, 0xb9a6859f9f55eb24ULL)
+      << simd::level_name(simd::active_level()) << ", digest 0x" << std::hex
+      << digest;
+}
+
+TEST_F(AlignerFixture, AlignPairsIsChunkInvariant) {
+  // Batch boundaries change which jobs share a vector, never a record.
+  const auto pairs = golden_pairs(reference);
+  std::vector<SamRecord> all;
+  aligner->align_pairs(pairs, all);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
+    std::vector<SamRecord> chunked;
+    for (std::size_t at = 0; at < pairs.size(); at += chunk) {
+      aligner->align_pairs(
+          std::span(pairs).subspan(at, std::min(chunk, pairs.size() - at)),
+          chunked);
+    }
+    EXPECT_EQ(chunked, all) << "chunks of " << chunk;
+  }
+  // align_pair is the one-pair call.
+  for (std::size_t p = 0; p < pairs.size(); p += 37) {
+    const auto [r1, r2] = aligner->align_pair(pairs[p]);
+    EXPECT_EQ(r1, all[2 * p]) << p;
+    EXPECT_EQ(r2, all[2 * p + 1]) << p;
+  }
 }
 
 TEST_F(AlignerFixture, ShortReadBelowSeedLengthUnmapped) {

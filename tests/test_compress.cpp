@@ -105,6 +105,36 @@ TEST(Huffman, SerializedTableReproducesCodes) {
   for (std::uint32_t s = 0; s < 257; ++s) EXPECT_EQ(copy.decode(r), s);
 }
 
+// The lengths come off the wire (the GPF record codec and GBAM pass the
+// serialized quality table straight through), so a hostile table must be
+// rejected before build_canonical indexes its per-length tables with it.
+TEST(Huffman, OversubscribedLengthsThrow) {
+  // 64 one-bit codes: Kraft sum 32.
+  EXPECT_THROW(HuffmanCoder::from_code_lengths(
+                   std::vector<std::uint8_t>(64, 1)),
+               std::invalid_argument);
+  // One code too many for a complete set: 1 + 1/2 + 1/2.
+  EXPECT_THROW(HuffmanCoder::from_code_lengths(
+                   std::vector<std::uint8_t>{1, 2, 2, 2}),
+               std::invalid_argument);
+  // Complete and incomplete sets stay valid.
+  EXPECT_NO_THROW(HuffmanCoder::from_code_lengths(
+      std::vector<std::uint8_t>{1, 2, 3, 3}));
+  EXPECT_NO_THROW(HuffmanCoder::from_code_lengths(
+      std::vector<std::uint8_t>{0, 1, 0}));
+  EXPECT_NO_THROW(HuffmanCoder::from_code_lengths(
+      std::vector<std::uint8_t>{1, 32}));
+}
+
+TEST(Huffman, OverlongLengthThrows) {
+  EXPECT_THROW(HuffmanCoder::from_code_lengths(
+                   std::vector<std::uint8_t>{1, 200}),
+               std::invalid_argument);
+  EXPECT_THROW(HuffmanCoder::from_code_lengths(
+                   std::vector<std::uint8_t>{33, 1}),
+               std::invalid_argument);
+}
+
 TEST(Huffman, RandomRoundTripProperty) {
   Rng rng(37);
   for (int trial = 0; trial < 20; ++trial) {
@@ -415,6 +445,24 @@ TEST(RecordCodecHostile, HugeCigarCountThrowsBeforeAllocating) {
     EXPECT_THROW(decode_sam_batch(w.bytes(), codec), std::out_of_range)
         << codec_name(codec);
   }
+}
+
+// A GPF SAM batch whose embedded quality table (257 code lengths after
+// the header) is overwritten with 1s must throw, not corrupt the heap.
+TEST(RecordCodecHostile, GpfOversubscribedQualityTableThrows) {
+  const auto bytes = encode_sam_batch(sample_sam(8), Codec::kGpf);
+  // Magic (4 bytes), codec byte, record count (1 byte), then the table
+  // size as a varint (257 = 0x81 0x02) and the table itself.
+  constexpr std::size_t kTableAt = 8;
+  ASSERT_EQ(bytes.at(6), 0x81);
+  ASSERT_EQ(bytes.at(7), 0x02);
+  ASSERT_EQ(decode_sam_batch(bytes, Codec::kGpf), sample_sam(8));
+  std::vector<std::uint8_t> hostile = bytes;
+  std::fill_n(hostile.begin() + kTableAt, kQualityAlphabet, 1);
+  EXPECT_THROW(decode_sam_batch(hostile, Codec::kGpf), std::invalid_argument);
+  hostile = bytes;
+  hostile.at(kTableAt) = 200;
+  EXPECT_THROW(decode_sam_batch(hostile, Codec::kGpf), std::invalid_argument);
 }
 
 TEST(RecordCodecSizes, GpfSmallerThanKryoSmallerThanJava) {
