@@ -107,7 +107,7 @@ void BM_AlignPairedRead(benchmark::State& state) {
   const std::string frag(ref.slice(0, 40'000, 350));
   FastqPair pair;
   pair.first = {"p/1", frag.substr(0, 100), std::string(100, 'I')};
-  pair.second = {"p/2", simdata::reverse_complement(frag.substr(250, 100)),
+  pair.second = {"p/2", reverse_complement(frag.substr(250, 100)),
                  std::string(100, 'I')};
   for (auto _ : state) {
     benchmark::DoNotOptimize(aligner.align_pair(pair));
@@ -562,7 +562,7 @@ KernelReport report_fm_search() {
   for (auto& read : bench_reads(256)) {
     std::string& s = read.sequence;
     if (rng.below(4) == 0) s[rng.below(s.size())] = "ACGT"[rng.below(4)];
-    for (const std::string& strand : {s, simdata::reverse_complement(s)}) {
+    for (const std::string& strand : {s, reverse_complement(s)}) {
       for (std::size_t at = 0; at + 19 <= strand.size(); at += 11) {
         seeds.push_back(strand.substr(at, 19));
       }

@@ -4,8 +4,8 @@
 //
 //   gpf_tool simulate <out_prefix> [genome_kb=100] [coverage=15]
 //       writes <p>_ref.fa <p>_1.fastq <p>_2.fastq <p>_truth.vcf
-//   gpf_tool align <ref.fa> <r1.fastq> <r2.fastq> <out.gbam|out.sam>
-//   gpf_tool call <ref.fa> <in.gbam|in.sam> <out.vcf> [--gvcf]
+//   gpf_tool align <ref.fa> <r1.fastq> <r2.fastq> <out.gpc|out.sam>
+//   gpf_tool call <ref.fa> <in.gpc|in.sam> <out.vcf> [--gvcf]
 //   gpf_tool pipeline <ref.fa> <r1.fastq> <r2.fastq> <known.vcf> <out.vcf>
 //       [--backend {inprocess,spill,distributed}] [--store-budget BYTES]
 //       [--workers N]
@@ -18,13 +18,19 @@
 //       JSON combining the measured engine timeline (pid 0) with a
 //       simulated-cluster replay of the run (pid 1); open the file in
 //       chrome://tracing or https://ui.perfetto.dev
-//   gpf_tool view <in.gbam>
+//   gpf_tool view <in.gpc|in.sam>
+//
+// A .gpc file is a checksummed chunk (store/sam_chunk); any other name is
+// SAM text.
 //
 // A numeric argument that is empty, has trailing junk, is not positive or
-// is out of range exits with status 2 and a "gpf_tool: bad ..." message.
+// is out of range exits with status 2 and a "gpf_tool: bad ..." message.  A
+// missing, malformed, torn or damaged input file exits with status 1 and a
+// "gpf_tool: <reason>" message.
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
@@ -38,13 +44,13 @@
 #include "cleaner/markdup.hpp"
 #include "cleaner/sorter.hpp"
 #include "common/trace.hpp"
-#include "compress/gbam.hpp"
 #include "core/file_io.hpp"
 #include "core/wgs_pipeline.hpp"
 #include "exec/backend_factory.hpp"
 #include "simcluster/cluster.hpp"
 #include "simcluster/trace.hpp"
 #include "simdata/read_sim.hpp"
+#include "store/sam_chunk.hpp"
 
 using namespace gpf;
 
@@ -92,8 +98,8 @@ bool parse_positive(const char* text, const char* what, T max, T& out) {
 }
 
 SamFile load_alignments(const std::string& path) {
-  return ends_with(path, ".gbam") ? load_gbam_file(path)
-                                  : core::load_sam_file(path);
+  return ends_with(path, ".gpc") ? store::load_sam_chunk(path)
+                                 : core::load_sam_file(path);
 }
 
 int cmd_simulate(int argc, char** argv) {
@@ -131,7 +137,7 @@ int cmd_simulate(int argc, char** argv) {
 int cmd_align(int argc, char** argv) {
   if (argc < 4) {
     std::fprintf(stderr,
-                 "usage: gpf_tool align <ref.fa> <r1> <r2> <out.gbam>\n");
+                 "usage: gpf_tool align <ref.fa> <r1> <r2> <out.gpc>\n");
     return 2;
   }
   const Reference reference = core::load_fasta_file(argv[0]);
@@ -146,8 +152,8 @@ int cmd_align(int argc, char** argv) {
   SamHeader header = sam_header_for(reference);
   header.coordinate_sorted = true;
   const std::string out = argv[3];
-  if (ends_with(out, ".gbam")) {
-    save_gbam_file(out, header, records);
+  if (ends_with(out, ".gpc")) {
+    store::save_sam_chunk(out, header, records);
   } else {
     core::save_sam_file(out, header, records);
   }
@@ -165,7 +171,7 @@ int cmd_align(int argc, char** argv) {
 int cmd_call(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
-                 "usage: gpf_tool call <ref.fa> <in.gbam> <out.vcf> "
+                 "usage: gpf_tool call <ref.fa> <in.gpc> <out.vcf> "
                  "[--gvcf]\n");
     return 2;
   }
@@ -313,7 +319,7 @@ int cmd_trace(int argc, char** argv) {
 
 int cmd_view(int argc, char** argv) {
   if (argc < 1) {
-    std::fprintf(stderr, "usage: gpf_tool view <in.gbam>\n");
+    std::fprintf(stderr, "usage: gpf_tool view <in.gpc>\n");
     return 2;
   }
   const SamFile file = load_alignments(argv[0]);
@@ -343,12 +349,17 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   argc -= 2;
   argv += 2;
-  if (cmd == "simulate") return cmd_simulate(argc, argv);
-  if (cmd == "align") return cmd_align(argc, argv);
-  if (cmd == "call") return cmd_call(argc, argv);
-  if (cmd == "pipeline") return cmd_pipeline(argc, argv, backend_spec);
-  if (cmd == "trace") return cmd_trace(argc, argv);
-  if (cmd == "view") return cmd_view(argc, argv);
+  try {
+    if (cmd == "simulate") return cmd_simulate(argc, argv);
+    if (cmd == "align") return cmd_align(argc, argv);
+    if (cmd == "call") return cmd_call(argc, argv);
+    if (cmd == "pipeline") return cmd_pipeline(argc, argv, backend_spec);
+    if (cmd == "trace") return cmd_trace(argc, argv);
+    if (cmd == "view") return cmd_view(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "gpf_tool: %s\n", e.what());
+    return 1;
+  }
   std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
   return 2;
 }

@@ -1,34 +1,11 @@
 #include "align/bwamem.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
+#include "formats/fasta.hpp"
+
 namespace gpf::align {
-namespace {
-
-/// The complement of every byte: A/T and C/G swap, anything else is N.
-constexpr std::array<char, 256> kComplement = [] {
-  std::array<char, 256> t{};
-  t.fill('N');
-  t['A'] = 'T';
-  t['T'] = 'A';
-  t['C'] = 'G';
-  t['G'] = 'C';
-  return t;
-}();
-
-/// Reverse-complement helper local to the aligner (simdata provides the
-/// canonical implementation; we keep alignment self-contained).
-std::string revcomp(std::string_view seq) {
-  std::string out(seq.size(), 'N');
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    out[i] = kComplement[static_cast<unsigned char>(seq[seq.size() - 1 - i])];
-  }
-  return out;
-}
-
-}  // namespace
 
 ReadAligner::ReadAligner(const FmIndex& index, AlignerOptions options)
     : index_(&index), options_(options) {}
@@ -212,7 +189,7 @@ SamRecord ReadAligner::to_record(const FastqRecord& read,
 }
 
 SamRecord ReadAligner::align_single(const FastqRecord& read) const {
-  const std::string rc = revcomp(read.sequence);
+  const std::string rc = reverse_complement(read.sequence);
   const ReadView view{&read.sequence, &rc};
   std::vector<std::vector<AlignmentCandidate>> cands;
   extend_reads(std::span(&view, 1), cands);
@@ -254,8 +231,8 @@ void ReadAligner::align_batch(std::span<const FastqPair> pairs,
   std::vector<std::string> rc(2 * n);
   std::vector<ReadView> reads(2 * n);
   for (std::size_t p = 0; p < n; ++p) {
-    rc[2 * p] = revcomp(pairs[p].first.sequence);
-    rc[2 * p + 1] = revcomp(pairs[p].second.sequence);
+    rc[2 * p] = reverse_complement(pairs[p].first.sequence);
+    rc[2 * p + 1] = reverse_complement(pairs[p].second.sequence);
     reads[2 * p] = {&pairs[p].first.sequence, &rc[2 * p]};
     reads[2 * p + 1] = {&pairs[p].second.sequence, &rc[2 * p + 1]};
   }

@@ -24,29 +24,6 @@ std::uint64_t encode_base(char c) {
   }
 }
 
-std::string revcomp(std::string_view seq) {
-  std::string out(seq.size(), 'N');
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    switch (seq[seq.size() - 1 - i]) {
-      case 'A':
-        out[i] = 'T';
-        break;
-      case 'T':
-        out[i] = 'A';
-        break;
-      case 'C':
-        out[i] = 'G';
-        break;
-      case 'G':
-        out[i] = 'C';
-        break;
-      default:
-        out[i] = 'N';
-    }
-  }
-  return out;
-}
-
 std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -157,7 +134,7 @@ SamRecord HashAligner::align(const FastqRecord& read) const {
   // diagonal voting per (strand, contig, diag bucket)
   std::map<std::tuple<bool, std::int32_t, std::int64_t>, Vote> votes;
 
-  const std::string rc = revcomp(read.sequence);
+  const std::string rc = reverse_complement(read.sequence);
   const int len = static_cast<int>(read.sequence.size());
   // Odd stride so consecutive seeds alternate position parity — with a
   // strided index an even stride would make whole reads invisible.

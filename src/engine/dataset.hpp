@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/buffer_pool.hpp"
+#include "common/checksum.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
@@ -311,8 +312,8 @@ class Dataset {
               codec_->encode(
                   std::span<const T>(buckets[b].data(), buckets[b].size()),
                   out.encoded[b]);
-              out.meta[b] = {shuffle_block_checksum(out.encoded[b]),
-                             buckets[b].size(), out.encoded[b].size()};
+              out.meta[b] = {fnv1a64(out.encoded[b]), buckets[b].size(),
+                             out.encoded[b].size()};
               out.write_bytes += out.encoded[b].size();
               buckets[b].clear();
               buckets[b].shrink_to_fit();
@@ -377,7 +378,7 @@ class Dataset {
                                                         corrupted->size());
                 }
               }
-              if (shuffle_block_checksum(block) != meta.checksum) {
+              if (fnv1a64(block) != meta.checksum) {
                 throw ShuffleBlockError(
                     "shuffle block " + std::to_string(i) + "->" +
                     std::to_string(b) + " of stage '" + stage_name +

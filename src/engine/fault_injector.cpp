@@ -4,8 +4,6 @@
 #include <charconv>
 #include <cstdlib>
 
-#include "common/checksum.hpp"
-
 namespace gpf::engine {
 namespace {
 
@@ -120,10 +118,6 @@ std::uint64_t seed_from_env(const char* name, std::uint64_t fallback) {
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string(name) + ": " + e.what());
   }
-}
-
-std::uint64_t shuffle_block_checksum(std::span<const std::uint8_t> bytes) {
-  return fnv1a64(bytes);
 }
 
 FaultInjector::FaultInjector(std::uint64_t seed, std::vector<FaultRule> rules)

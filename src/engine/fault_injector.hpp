@@ -102,10 +102,6 @@ class StageFailure : public std::runtime_error {
   int attempts_ = 0;
 };
 
-/// Checksum guarding shuffle blocks against (injected or real) corruption
-/// and codecs that decode to the wrong record count.  FNV-1a 64.
-std::uint64_t shuffle_block_checksum(std::span<const std::uint8_t> bytes);
-
 /// Parses a chaos/fuzz seed from a decimal string.  Strict: the whole
 /// string must be one base-10 unsigned 64-bit integer — empty input,
 /// non-numeric text, signs, leading/trailing junk, and overflow all throw

@@ -28,10 +28,8 @@ std::string resolve_worker_binary(const std::string& requested) {
 /// cache that makes owner death repairable without recomputing the map.
 class DistributedShuffleTransport final : public engine::ShuffleTransport {
  public:
-  DistributedShuffleTransport(runtime::WorkerPool& pool,
-                              engine::Engine& engine,
-                              net::ChannelConfig fetch_channel)
-      : pool_(pool), engine_(engine), fetch_channel_(fetch_channel) {}
+  DistributedShuffleTransport(runtime::WorkerPool& pool, engine::Engine& engine)
+      : pool_(pool), engine_(engine) {}
 
   void set_push_hook(std::function<void(std::size_t, int)> hook) {
     std::lock_guard lock(mu_);
@@ -100,7 +98,7 @@ class DistributedShuffleTransport final : public engine::ShuffleTransport {
     const runtime::BlockId id{ns, map_task, reduce_part};
     if (pool_.alive(owner)) {
       try {
-        return wrap(runtime::fetch_block_over_wire(port, id, fetch_channel_));
+        return wrap(runtime::fetch_block_over_wire(port, id));
       } catch (const runtime::MissingBlockError&) {
         // Owner died (or lost the block) between push and fetch: repair
         // from the lineage cache below.
@@ -127,7 +125,7 @@ class DistributedShuffleTransport final : public engine::ShuffleTransport {
       entry.owner = worker;
       entry.port = new_port;
     }
-    return wrap(runtime::fetch_block_over_wire(new_port, id, fetch_channel_));
+    return wrap(runtime::fetch_block_over_wire(new_port, id));
   }
 
   void end_shuffle(std::uint64_t shuffle) noexcept override {
@@ -222,7 +220,6 @@ class DistributedShuffleTransport final : public engine::ShuffleTransport {
 
   runtime::WorkerPool& pool_;
   engine::Engine& engine_;
-  net::ChannelConfig fetch_channel_;
   mutable std::mutex mu_;
   std::uint64_t next_id_ = 1;
   std::unordered_map<std::uint64_t, Shuffle> shuffles_;
@@ -230,22 +227,11 @@ class DistributedShuffleTransport final : public engine::ShuffleTransport {
   std::function<void(std::size_t, int)> push_hook_;
 };
 
-namespace {
-
-runtime::WorkerPoolConfig make_pool_config(
-    const DistributedBackendOptions& options) {
-  runtime::WorkerPoolConfig cfg = options.pool;
-  cfg.worker_binary = resolve_worker_binary(options.worker_binary);
-  return cfg;
-}
-
-}  // namespace
-
 DistributedBackend::DistributedBackend(DistributedBackendOptions options)
     : engine_(options.engine),
-      pool_(make_pool_config(options)),
-      transport_(std::make_shared<DistributedShuffleTransport>(
-          pool_, engine_, options.fetch_channel)) {
+      pool_(resolve_worker_binary(options.worker_binary)),
+      transport_(
+          std::make_shared<DistributedShuffleTransport>(pool_, engine_)) {
   pool_.spawn_local(options.workers);
 }
 

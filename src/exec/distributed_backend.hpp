@@ -36,13 +36,6 @@ struct DistributedBackendOptions {
   /// Path to the gpf_worker binary; empty = the GPF_WORKER_BIN
   /// environment variable.
   std::string worker_binary;
-  /// Pool tuning (worker_binary is overridden by the resolved path).
-  runtime::WorkerPoolConfig pool;
-  /// Channel used for driver-side block fetches from workers.
-  net::ChannelConfig fetch_channel{.connect_timeout_ms = 1000,
-                                   .call_timeout_ms = 5000,
-                                   .retry = {.max_attempts = 2},
-                                   .limits = {}};
 };
 
 class DistributedBackend final : public core::ExecutionBackend {

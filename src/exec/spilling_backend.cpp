@@ -92,7 +92,7 @@ class SpillingShuffleTransport final : public engine::ShuffleTransport {
     // at-rest corruption surfaces here as ChunkCorruptionError, failing
     // the reduce attempt just like an in-memory checksum mismatch would.
     const std::span<const std::uint8_t> bytes =
-        chunk->view().column(store::shuffle_block_column(reduce_part));
+        chunk->view().column(store::block_column(reduce_part));
     {
       std::lock_guard lock(mu_);
       ++stats_.blocks_fetched;

@@ -1,6 +1,7 @@
 #include "formats/fasta.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <stdexcept>
 #include <unordered_map>
@@ -25,6 +26,17 @@ char normalize_base(char c) {
       return 'N';
   }
 }
+
+/// The complement of every byte: A/T and C/G swap, anything else is N.
+constexpr std::array<char, 256> kComplement = [] {
+  std::array<char, 256> t{};
+  t.fill('N');
+  t['A'] = 'T';
+  t['T'] = 'A';
+  t['C'] = 'G';
+  t['G'] = 'C';
+  return t;
+}();
 
 }  // namespace
 
@@ -92,6 +104,14 @@ std::string write_fasta(const Reference& ref) {
       out += contig.sequence.substr(i, kWidth);
       out += '\n';
     }
+  }
+  return out;
+}
+
+std::string reverse_complement(std::string_view seq) {
+  std::string out(seq.size(), 'N');
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    out[i] = kComplement[static_cast<unsigned char>(seq[seq.size() - 1 - i])];
   }
   return out;
 }

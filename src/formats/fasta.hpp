@@ -50,4 +50,8 @@ Reference parse_fasta(std::string_view text);
 /// Renders a Reference back to FASTA with fixed 70-column wrapping.
 std::string write_fasta(const Reference& ref);
 
+/// Reverse-complements a DNA string: A<->T and C<->G swap, any other byte
+/// becomes N.
+std::string reverse_complement(std::string_view seq);
+
 }  // namespace gpf

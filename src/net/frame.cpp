@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/checksum.hpp"
+
 namespace gpf::net {
 namespace {
 
@@ -26,7 +28,7 @@ void encode_header(std::uint8_t (&header)[kFrameHeaderBytes],
   put_u32(header + 4, frame.type);
   put_u64(header + 8, frame.request_id);
   put_u64(header + 16, frame.payload.size());
-  put_u64(header + 24, frame_checksum(frame.payload));
+  put_u64(header + 24, fnv1a64(frame.payload));
 }
 
 /// Validates the header fields shared by the stream and in-memory readers;
@@ -49,15 +51,6 @@ std::uint64_t check_header(const std::uint8_t* header,
 }
 
 }  // namespace
-
-std::uint64_t frame_checksum(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   std::uint8_t header[kFrameHeaderBytes];
@@ -82,7 +75,7 @@ Frame decode_frame(std::span<const std::uint8_t> bytes,
   }
   out.payload.assign(bytes.begin() + kFrameHeaderBytes,
                      bytes.begin() + kFrameHeaderBytes + len);
-  if (frame_checksum(out.payload) != checksum) {
+  if (fnv1a64(out.payload) != checksum) {
     throw FrameError(FrameFault::kChecksum, "frame: payload checksum mismatch");
   }
   return out;
@@ -119,7 +112,7 @@ Frame read_frame(Socket& sock, const FrameLimits& limits, int timeout_ms) {
       throw FrameError(FrameFault::kTruncated, "frame: truncated payload");
     }
   }
-  if (frame_checksum(out.payload) != checksum) {
+  if (fnv1a64(out.payload) != checksum) {
     throw FrameError(FrameFault::kChecksum, "frame: payload checksum mismatch");
   }
   return out;

@@ -9,9 +9,9 @@
 //   check   u64  FNV-1a 64 of the payload
 //   payload len bytes
 //
-// The checksum guards the transport the same way shuffle_block_checksum
-// guards shuffle blocks: a damaged or desynchronized stream surfaces as a
-// typed FrameError instead of garbage records.  All integers are
+// The checksum (common/checksum.hpp's fnv1a64, the one that guards
+// shuffle blocks) guards the transport: a damaged or desynchronized stream
+// surfaces as a typed FrameError instead of garbage records.  All integers are
 // little-endian (the ByteWriter convention used by every codec in the
 // repo).
 #pragma once
@@ -65,10 +65,6 @@ struct FrameLimits {
   /// reader to allocate petabytes.
   std::size_t max_payload = std::size_t{256} << 20;
 };
-
-/// FNV-1a 64 (same construction as engine::shuffle_block_checksum; kept
-/// separate so the transport does not depend on the engine).
-std::uint64_t frame_checksum(std::span<const std::uint8_t> bytes);
 
 /// Serializes `frame` into the wire format (header + payload).
 std::vector<std::uint8_t> encode_frame(const Frame& frame);

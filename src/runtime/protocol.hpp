@@ -3,8 +3,8 @@
 // Message payloads are ByteWriter/ByteReader streams (the same primitives
 // every record codec in the repo uses), carried inside net::Frame frames.
 // A "block" is the codec-encoded bytes of one map task's bucket for one
-// reduce partition, pushed by the driver and guarded by the engine's
-// shuffle_block_checksum exactly like the in-process shuffle path.
+// reduce partition, pushed by the driver and guarded by fnv1a64
+// (common/checksum.hpp) exactly like the in-process shuffle path.
 #pragma once
 
 #include <cstdint>

@@ -3,12 +3,23 @@
 #include <chrono>
 #include <utility>
 
+#include "common/checksum.hpp"
 #include "common/trace.hpp"
-#include "engine/fault_injector.hpp"
 #include "net/channel.hpp"
 
 namespace gpf::runtime {
 namespace {
+
+/// Idle receive window per connection poll; also the stop-flag latency.
+constexpr int kPollIntervalMs = 200;
+/// Deadline for reading/writing one frame once transfer has started.
+constexpr int kIoTimeoutMs = 15000;
+constexpr net::FrameLimits kFrameLimits{};
+/// Channel for block fetches from a worker.
+const net::ChannelConfig kFetchChannel{.connect_timeout_ms = 1000,
+                                       .call_timeout_ms = 5000,
+                                       .retry = {.max_attempts = 2},
+                                       .limits = {}};
 
 /// pipeline_stage: deposit driver-pushed shuffle blocks for one map task
 /// of a lowered pipeline stage.  Payload: uvarint num_out, then per
@@ -31,8 +42,7 @@ std::vector<std::uint8_t> pipeline_stage_task(WorkerContext& ctx,
     const auto bytes = r.raw(n);
     auto owned = std::make_shared<std::vector<std::uint8_t>>(bytes.begin(),
                                                              bytes.end());
-    if (engine::shuffle_block_checksum(std::span<const std::uint8_t>(
-            owned->data(), owned->size())) != stored.checksum) {
+    if (fnv1a64(*owned) != stored.checksum) {
       throw MissingBlockError(
           req.task, "pushed block " + BlockId{req.stage, req.task, b}.key() +
                         " corrupted in transit");
@@ -101,11 +111,10 @@ void register_builtin_tasks() {
   reg.add("sleep_echo", sleep_echo_task);
 }
 
-StoredBlock fetch_block_over_wire(std::uint16_t port, const BlockId& id,
-                                  const net::ChannelConfig& config) {
+StoredBlock fetch_block_over_wire(std::uint16_t port, const BlockId& id) {
   ByteWriter w;
   encode_block_id(w, id);
-  net::RetriableChannel peer("127.0.0.1", port, config);
+  net::RetriableChannel peer("127.0.0.1", port, kFetchChannel);
   net::Frame resp;
   try {
     resp = peer.call(kFetchBlock, std::span<const std::uint8_t>(
@@ -135,8 +144,7 @@ StoredBlock fetch_block_over_wire(std::uint16_t port, const BlockId& id,
                                                            bytes.end());
   // Validate on arrival: the frame checksum already guards the transport,
   // but the block checksum is the shuffle's end-to-end integrity contract.
-  if (engine::shuffle_block_checksum(std::span<const std::uint8_t>(
-          owned->data(), owned->size())) != block.checksum) {
+  if (fnv1a64(*owned) != block.checksum) {
     throw MissingBlockError(id.map_task, "block " + id.key() +
                                              " corrupted in transit from "
                                              "port " +
@@ -160,7 +168,7 @@ WorkerServer::~WorkerServer() {
 
 void WorkerServer::serve() {
   while (!stop_.load()) {
-    net::Socket sock = listener_.accept(config_.poll_interval_ms);
+    net::Socket sock = listener_.accept(kPollIntervalMs);
     if (!sock.valid()) continue;
     std::lock_guard lock(threads_mu_);
     threads_.emplace_back(
@@ -170,10 +178,10 @@ void WorkerServer::serve() {
 
 void WorkerServer::handle_connection(net::Socket sock) {
   while (!stop_.load()) {
-    if (!sock.wait_readable(config_.poll_interval_ms)) continue;
+    if (!sock.wait_readable(kPollIntervalMs)) continue;
     net::Frame request;
     try {
-      request = net::read_frame(sock, config_.limits, config_.io_timeout_ms);
+      request = net::read_frame(sock, kFrameLimits, kIoTimeoutMs);
     } catch (const net::FrameEof&) {
       return;
     } catch (const std::runtime_error&) {
@@ -182,7 +190,7 @@ void WorkerServer::handle_connection(net::Socket sock) {
     net::Frame response = handle_message(request);
     response.request_id = request.request_id;
     try {
-      net::write_frame(sock, response, config_.io_timeout_ms);
+      net::write_frame(sock, response, kIoTimeoutMs);
     } catch (const std::runtime_error&) {
       return;
     }

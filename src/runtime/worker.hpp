@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/channel.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "runtime/block_store.hpp"
@@ -61,8 +60,7 @@ using TaskHandler = std::function<std::vector<std::uint8_t>(
 /// read path of the driver-side distributed shuffle transport.  Throws
 /// MissingBlockError when the worker is unreachable, lacks the block,
 /// or the bytes fail their checksum.
-StoredBlock fetch_block_over_wire(std::uint16_t port, const BlockId& id,
-                                  const net::ChannelConfig& config);
+StoredBlock fetch_block_over_wire(std::uint16_t port, const BlockId& id);
 
 /// Process-global name -> handler table.
 class TaskRegistry {
@@ -84,11 +82,6 @@ void register_builtin_tasks();
 struct WorkerConfig {
   std::uint16_t port = 0;  // 0 = kernel-assigned
   int worker_id = 0;
-  /// Idle receive window per connection poll; also the stop-flag latency.
-  int poll_interval_ms = 200;
-  /// Deadline for reading/writing one frame once transfer has started.
-  int io_timeout_ms = 15000;
-  net::FrameLimits limits;
 };
 
 class WorkerServer {

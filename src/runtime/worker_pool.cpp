@@ -13,6 +13,19 @@
 namespace gpf::runtime {
 namespace {
 
+constexpr int kHeartbeatIntervalMs = 100;
+constexpr int kHeartbeatTimeoutMs = 300;
+constexpr int kMaxMissedHeartbeats = 3;
+/// Spawn handshake deadline (worker prints its ready line).
+constexpr int kSpawnTimeoutMs = 10000;
+const net::ChannelConfig kDispatchChannel{.call_timeout_ms = 30000,
+                                          .retry = {.max_attempts = 2},
+                                          .limits = {}};
+const net::ChannelConfig kControlChannel{.connect_timeout_ms = 500,
+                                         .call_timeout_ms = 300,
+                                         .retry = {.max_attempts = 1},
+                                         .limits = {}};
+
 /// Reads the worker's ready line ("GPF_WORKER_READY port=N\n") from its
 /// stdout pipe within the deadline; returns the port.
 std::uint16_t read_ready_line(int fd, int timeout_ms, pid_t pid) {
@@ -52,8 +65,8 @@ std::uint16_t read_ready_line(int fd, int timeout_ms, pid_t pid) {
 
 }  // namespace
 
-WorkerPool::WorkerPool(WorkerPoolConfig config)
-    : config_(std::move(config)) {}
+WorkerPool::WorkerPool(std::string worker_binary)
+    : worker_binary_(std::move(worker_binary)) {}
 
 WorkerPool::~WorkerPool() {
   shutdown_all();
@@ -62,7 +75,7 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::spawn_local(int count) {
-  if (config_.worker_binary.empty()) {
+  if (worker_binary_.empty()) {
     throw std::invalid_argument("WorkerPool: worker_binary not set");
   }
   for (int k = 0; k < count; ++k) {
@@ -85,16 +98,16 @@ void WorkerPool::spawn_local(int count) {
       ::close(pipe_fds[1]);
       ::prctl(PR_SET_PDEATHSIG, SIGKILL);
       const std::string id_arg = "--id=" + std::to_string(next_id);
-      ::execl(config_.worker_binary.c_str(), config_.worker_binary.c_str(),
+      ::execl(worker_binary_.c_str(), worker_binary_.c_str(),
               "--port=0", id_arg.c_str(), static_cast<char*>(nullptr));
-      std::fprintf(stderr, "exec %s: %s\n", config_.worker_binary.c_str(),
+      std::fprintf(stderr, "exec %s: %s\n", worker_binary_.c_str(),
                    std::strerror(errno));
       ::_exit(127);
     }
     ::close(pipe_fds[1]);
     std::uint16_t port = 0;
     try {
-      port = read_ready_line(pipe_fds[0], config_.spawn_timeout_ms, pid);
+      port = read_ready_line(pipe_fds[0], kSpawnTimeoutMs, pid);
     } catch (...) {
       ::close(pipe_fds[0]);
       ::kill(pid, SIGKILL);
@@ -106,9 +119,9 @@ void WorkerPool::spawn_local(int count) {
     auto w = std::make_unique<Worker>();
     w->info = {next_id, pid, port, true};
     w->dispatch = std::make_unique<net::RetriableChannel>(
-        "127.0.0.1", port, config_.dispatch_channel);
+        "127.0.0.1", port, kDispatchChannel);
     w->control = std::make_unique<net::RetriableChannel>(
-        "127.0.0.1", port, config_.control_channel);
+        "127.0.0.1", port, kControlChannel);
     w->alive.store(true);
     std::lock_guard lock(mu_);
     workers_.push_back(std::move(w));
@@ -268,7 +281,7 @@ void WorkerPool::reap(Worker& w, bool force_kill) {
 void WorkerPool::heartbeat_loop() {
   while (!stop_.load()) {
     std::this_thread::sleep_for(
-        std::chrono::milliseconds(config_.heartbeat_interval_ms));
+        std::chrono::milliseconds(kHeartbeatIntervalMs));
     std::vector<Worker*> workers;
     {
       std::lock_guard lock(mu_);
@@ -278,11 +291,11 @@ void WorkerPool::heartbeat_loop() {
       if (stop_.load()) return;
       if (!w->alive.load()) continue;
       try {
-        w->control->call(kPing, {}, config_.heartbeat_timeout_ms,
+        w->control->call(kPing, {}, kHeartbeatTimeoutMs,
                          /*max_attempts=*/1);
         w->missed_heartbeats = 0;
       } catch (const std::runtime_error&) {
-        if (++w->missed_heartbeats >= config_.max_missed_heartbeats) {
+        if (++w->missed_heartbeats >= kMaxMissedHeartbeats) {
           mark_dead(w->info.id);
         }
       }

@@ -54,23 +54,6 @@ class RemoteTaskError : public std::runtime_error {
   TaskError error_;
 };
 
-struct WorkerPoolConfig {
-  /// Path to the gpf_worker binary (spawn_local).
-  std::string worker_binary;
-  int heartbeat_interval_ms = 100;
-  int heartbeat_timeout_ms = 300;
-  int max_missed_heartbeats = 3;
-  /// Spawn handshake deadline (worker prints its ready line).
-  int spawn_timeout_ms = 10000;
-  net::ChannelConfig dispatch_channel{.call_timeout_ms = 30000,
-                                      .retry = {.max_attempts = 2},
-                                      .limits = {}};
-  net::ChannelConfig control_channel{.connect_timeout_ms = 500,
-                                     .call_timeout_ms = 300,
-                                     .retry = {.max_attempts = 1},
-                                     .limits = {}};
-};
-
 struct WorkerInfo {
   int id = -1;
   pid_t pid = -1;
@@ -80,7 +63,8 @@ struct WorkerInfo {
 
 class WorkerPool {
  public:
-  explicit WorkerPool(WorkerPoolConfig config);
+  /// `worker_binary` is the gpf_worker path spawn_local executes.
+  explicit WorkerPool(std::string worker_binary);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -134,7 +118,7 @@ class WorkerPool {
   void heartbeat_loop();
   void reap(Worker& w, bool force_kill);
 
-  WorkerPoolConfig config_;
+  std::string worker_binary_;
   mutable std::mutex mu_;  // guards workers_ vector growth + info
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::size_t> next_worker_{0};

@@ -87,29 +87,4 @@ Reference generate_reference(const ReferenceSpec& spec) {
   return Reference(std::move(contigs));
 }
 
-std::string reverse_complement(std::string_view seq) {
-  std::string out(seq.size(), 'N');
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    char c = 'N';
-    switch (seq[seq.size() - 1 - i]) {
-      case 'A':
-        c = 'T';
-        break;
-      case 'T':
-        c = 'A';
-        break;
-      case 'C':
-        c = 'G';
-        break;
-      case 'G':
-        c = 'C';
-        break;
-      default:
-        c = 'N';
-    }
-    out[i] = c;
-  }
-  return out;
-}
-
 }  // namespace gpf::simdata

@@ -36,7 +36,4 @@ struct ReferenceSpec {
 
 Reference generate_reference(const ReferenceSpec& spec);
 
-/// Reverse-complements a DNA string (N maps to N).
-std::string reverse_complement(std::string_view seq);
-
 }  // namespace gpf::simdata

@@ -49,6 +49,10 @@ std::vector<std::uint8_t> encode_chunk(const ChunkData& data) {
   return w.take();
 }
 
+std::string block_column(std::size_t block) {
+  return std::string("b").append(std::to_string(block));
+}
+
 ChunkView ChunkView::parse(std::span<const std::uint8_t> file_bytes) {
   if (file_bytes.size() < kChunkTrailerBytes) {
     throw ChunkFormatError(

@@ -73,6 +73,10 @@ struct ColumnDesc {
 /// Serializes a chunk to its complete file image.
 std::vector<std::uint8_t> encode_chunk(const ChunkData& data);
 
+/// Name of the column holding block `block` ("b<block>") in the layouts
+/// that store one opaque column per block (shuffle and SAM chunks).
+std::string block_column(std::size_t block);
+
 /// A validated, zero-copy view over a chunk's file image.  parse()
 /// verifies the trailer and the footer checksum; column bytes are
 /// verified on access.  The view does not own the underlying bytes.

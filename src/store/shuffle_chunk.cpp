@@ -2,10 +2,6 @@
 
 namespace gpf::store {
 
-std::string shuffle_block_column(std::size_t reduce_part) {
-  return "b" + std::to_string(reduce_part);
-}
-
 std::string shuffle_chunk_name(std::uint64_t shuffle, std::size_t map_task) {
   return "shuffle" + std::to_string(shuffle) + ".m" +
          std::to_string(map_task);
@@ -19,7 +15,7 @@ ChunkData make_shuffle_chunk(
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     if (b < meta.size()) data.records += meta[b].records;
     ColumnSpec col;
-    col.name = shuffle_block_column(b);
+    col.name = block_column(b);
     col.bytes = std::move(blocks[b]);
     data.columns.push_back(std::move(col));
   }

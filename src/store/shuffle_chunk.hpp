@@ -2,11 +2,11 @@
 // one map task's shuffle output in the chunk store.
 //
 // One map task -> one chunk file; one reduce partition -> one column
-// ("b0", "b1", ...).  Reusing the chunk format buys the shuffle path
-// everything the store already guarantees: atomic writes, torn-write
-// detection at open, and per-column FNV-1a fingerprints so a corrupted
-// spill surfaces as a typed ChunkCorruptionError instead of a silently
-// wrong decode.  (Dataset::shuffle still validates its own block
+// (block_column: "b0", "b1", ...).  Reusing the chunk format buys the
+// shuffle path everything the store already guarantees: atomic writes,
+// torn-write detection at open, and per-column FNV-1a fingerprints so a
+// corrupted spill surfaces as a typed ChunkCorruptionError instead of a
+// silently wrong decode.  (Dataset::shuffle still validates its own block
 // checksum on top — the transport is never trusted.)
 #pragma once
 
@@ -18,9 +18,6 @@
 #include "store/chunk.hpp"
 
 namespace gpf::store {
-
-/// Column name carrying the block for `reduce_part` ("b<reduce_part>").
-std::string shuffle_block_column(std::size_t reduce_part);
 
 /// Chunk name for one map task of one shuffle ("shuffle<id>.m<map>").
 std::string shuffle_chunk_name(std::uint64_t shuffle, std::size_t map_task);

@@ -1084,8 +1084,7 @@ TEST_F(AlignerFixture, AlignsExactRead) {
 
 TEST_F(AlignerFixture, AlignsReverseComplementRead) {
   const std::string fwd(reference.slice(1, 3000, 100));
-  FastqRecord read{"r", simdata::reverse_complement(fwd),
-                   std::string(100, 'I')};
+  FastqRecord read{"r", reverse_complement(fwd), std::string(100, 'I')};
   const SamRecord rec = aligner->align_single(read);
   EXPECT_FALSE(rec.is_unmapped());
   EXPECT_EQ(rec.contig_id, 1);
@@ -1128,7 +1127,7 @@ TEST_F(AlignerFixture, PairedEndProperPairFlags) {
   const std::string frag(reference.slice(0, 40000, 350));
   FastqPair pair;
   pair.first = {"p/1", frag.substr(0, 100), std::string(100, 'I')};
-  pair.second = {"p/2", simdata::reverse_complement(frag.substr(250, 100)),
+  pair.second = {"p/2", reverse_complement(frag.substr(250, 100)),
                  std::string(100, 'I')};
   const auto [r1, r2] = aligner->align_pair(pair);
   EXPECT_TRUE(r1.flag & SamFlags::kPaired);
@@ -1208,7 +1207,7 @@ TEST(HashAligner, ReverseStrand) {
   const HashAligner aligner(ref);
   const std::string fwd(ref.slice(0, 1000, 100));
   const SamRecord rec = aligner.align(
-      {"r", simdata::reverse_complement(fwd), std::string(100, 'I')});
+      {"r", reverse_complement(fwd), std::string(100, 'I')});
   EXPECT_FALSE(rec.is_unmapped());
   EXPECT_TRUE(rec.is_reverse());
   EXPECT_EQ(rec.pos, 1000);
@@ -1228,7 +1227,7 @@ TEST_F(AlignerFixture, MateRescueRecoversJunkMate) {
   const std::string frag(reference.slice(0, 60'000, 350));
   FastqPair pair;
   pair.first = {"p/1", frag.substr(0, 100), std::string(100, 'I')};
-  std::string mate = simdata::reverse_complement(frag.substr(250, 100));
+  std::string mate = reverse_complement(frag.substr(250, 100));
   // Corrupt every 8th base: seeds of length 19 cannot survive, SW can.
   Rng rng(601);
   for (std::size_t i = 0; i < mate.size(); i += 8) {
@@ -1305,8 +1304,7 @@ std::vector<FastqPair> golden_pairs(const Reference& reference) {
           "end" + std::to_string(c) + ":" + std::to_string(start);
       pairs.push_back(
           {{name + "/1", frag.substr(0, 100), qual},
-           {name + "/2", simdata::reverse_complement(frag.substr(250, 100)),
-            qual}});
+           {name + "/2", reverse_complement(frag.substr(250, 100)), qual}});
     }
   }
   return pairs;

@@ -105,7 +105,7 @@ TEST(Huffman, SerializedTableReproducesCodes) {
   for (std::uint32_t s = 0; s < 257; ++s) EXPECT_EQ(copy.decode(r), s);
 }
 
-// The lengths come off the wire (the GPF record codec and GBAM pass the
+// The lengths come off the wire (the GPF record codec passes the
 // serialized quality table straight through), so a hostile table must be
 // rejected before build_canonical indexes its per-length tables with it.
 TEST(Huffman, OversubscribedLengthsThrow) {

@@ -117,6 +117,27 @@ TEST(Fasta, SequenceBeforeHeaderThrows) {
   EXPECT_THROW(parse_fasta("ACGT\n"), std::invalid_argument);
 }
 
+TEST(ReverseComplement, Basic) {
+  EXPECT_EQ(reverse_complement("ACGTN"), "NACGT");
+  EXPECT_EQ(reverse_complement(""), "");
+  EXPECT_EQ(reverse_complement(reverse_complement("GATTACA")), "GATTACA");
+  // Every byte value: A<->T, C<->G, anything else (lower case included)
+  // becomes N.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    char want = 'N';
+    if (c == 'A') want = 'T';
+    if (c == 'T') want = 'A';
+    if (c == 'C') want = 'G';
+    if (c == 'G') want = 'C';
+    EXPECT_EQ(reverse_complement(std::string_view(&c, 1)),
+              std::string(1, want))
+        << "byte " << b;
+  }
+  // Order reverses across a mixed string.
+  EXPECT_EQ(reverse_complement(std::string("AC\0g", 4)), "NNGT");
+}
+
 // --- FASTQ -------------------------------------------------------------
 
 TEST(Fastq, ParseAndWrite) {

@@ -1,18 +1,12 @@
-// Tests for the file-backed endpoints (core/file_io) and the GBAM binary
-// alignment container.
+// Tests for the file-backed endpoints (core/file_io).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <numeric>
+#include <unistd.h>
 
-#include "engine/dataset.hpp"
+#include <filesystem>
 
 #include "common/fsio.hpp"
-#include "compress/gbam.hpp"
 #include "core/file_io.hpp"
-#include "common/rng.hpp"
-#include "simdata/read_sim.hpp"
 #include "simdata/reference_gen.hpp"
 
 namespace gpf {
@@ -131,138 +125,6 @@ TEST_F(FileIoTest, VcfFileRoundTrip) {
   ASSERT_EQ(loaded.records.size(), 1u);
   EXPECT_EQ(loaded.records[0].pos, 42);
   EXPECT_EQ(loaded.records[0].alt, "G");
-}
-
-// --- GBAM -----------------------------------------------------------------
-
-std::vector<SamRecord> sample_records(std::size_t n) {
-  Rng rng(311);
-  std::vector<SamRecord> out;
-  const char bases[] = {'A', 'C', 'G', 'T'};
-  for (std::size_t i = 0; i < n; ++i) {
-    SamRecord r;
-    r.qname = "read" + std::to_string(i);
-    r.flag = static_cast<std::uint16_t>(rng.below(0x800));
-    r.contig_id = static_cast<std::int32_t>(rng.below(2));
-    r.pos = static_cast<std::int64_t>(rng.below(100'000));
-    r.mapq = static_cast<std::uint8_t>(rng.below(61));
-    std::string seq(80, 'A');
-    for (auto& c : seq) c = bases[rng.below(4)];
-    r.cigar = {{CigarOp::kMatch, 80}};
-    r.sequence = std::move(seq);
-    r.quality = std::string(80, static_cast<char>(40 + rng.below(30)));
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
-SamHeader gbam_header() {
-  SamHeader h;
-  h.contigs = {{"chr1", 100'000}, {"chr2", 100'000}};
-  h.coordinate_sorted = true;
-  return h;
-}
-
-class GbamCodecTest : public ::testing::TestWithParam<Codec> {};
-
-TEST_P(GbamCodecTest, RoundTrip) {
-  const auto records = sample_records(500);
-  GbamWriteOptions options;
-  options.codec = GetParam();
-  options.block_records = 128;
-  const auto bytes = write_gbam(gbam_header(), records, options);
-  const SamFile loaded = read_gbam(bytes);
-  EXPECT_EQ(loaded.header, gbam_header());
-  ASSERT_EQ(loaded.records.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    ASSERT_EQ(loaded.records[i], records[i]) << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllCodecs, GbamCodecTest,
-                         ::testing::Values(Codec::kJavaLike, Codec::kKryoLike,
-                                           Codec::kGpf),
-                         [](const auto& info) {
-                           return codec_name(info.param);
-                         });
-
-TEST(Gbam, BlockGranularAccess) {
-  const auto records = sample_records(300);
-  GbamWriteOptions options;
-  options.block_records = 100;
-  const auto bytes = write_gbam(gbam_header(), records, options);
-  const GbamReader reader(bytes);
-  EXPECT_EQ(reader.block_count(), 3u);
-  EXPECT_EQ(reader.record_count(), 300u);
-  // Blocks decode independently and in order.
-  const auto block1 = reader.read_block(1);
-  ASSERT_EQ(block1.size(), 100u);
-  EXPECT_EQ(block1[0], records[100]);
-  EXPECT_THROW(reader.read_block(3), std::out_of_range);
-}
-
-TEST(Gbam, EmptyFile) {
-  const auto bytes = write_gbam(gbam_header(), {}, {});
-  const SamFile loaded = read_gbam(bytes);
-  EXPECT_TRUE(loaded.records.empty());
-  EXPECT_EQ(loaded.header.contigs.size(), 2u);
-}
-
-TEST(Gbam, GpfCodecSmallerThanKryo) {
-  const auto records = sample_records(2000);
-  GbamWriteOptions gpf_options;
-  gpf_options.codec = Codec::kGpf;
-  GbamWriteOptions kryo_options;
-  kryo_options.codec = Codec::kKryoLike;
-  EXPECT_LT(write_gbam(gbam_header(), records, gpf_options).size(),
-            write_gbam(gbam_header(), records, kryo_options).size());
-}
-
-TEST(Gbam, BadMagicRejected) {
-  std::vector<std::uint8_t> bytes = {'N', 'O', 'P', 'E', '1', 0, 0, 0};
-  EXPECT_THROW(read_gbam(bytes), std::invalid_argument);
-}
-
-TEST(Gbam, TrailingBytesRejected) {
-  auto bytes = write_gbam(gbam_header(), sample_records(10), {});
-  bytes.push_back(0xff);
-  EXPECT_THROW(read_gbam(bytes), std::invalid_argument);
-}
-
-TEST(Gbam, ZeroBlockRecordsRejected) {
-  GbamWriteOptions options;
-  options.block_records = 0;
-  EXPECT_THROW(write_gbam(gbam_header(), sample_records(1), options),
-               std::invalid_argument);
-}
-
-TEST_F(FileIoTest, GbamFileRoundTrip) {
-  const auto records = sample_records(200);
-  save_gbam_file(path("a.gbam"), gbam_header(), records);
-  const SamFile loaded = load_gbam_file(path("a.gbam"));
-  EXPECT_EQ(loaded.records, records);
-}
-
-
-TEST(Gbam, DistributedBlockReadThroughEngine) {
-  // The point of GBAM's blocking: a distributed reader assigns block
-  // ranges to engine tasks.
-  const auto records = sample_records(1000);
-  GbamWriteOptions options;
-  options.block_records = 100;
-  const auto bytes = write_gbam(gbam_header(), records, options);
-  const auto reader = std::make_shared<GbamReader>(
-      std::span<const std::uint8_t>(bytes.data(), bytes.size()));
-
-  engine::Engine engine({.worker_threads = 2});
-  std::vector<std::size_t> block_ids(reader->block_count());
-  std::iota(block_ids.begin(), block_ids.end(), 0);
-  auto blocks = engine.parallelize(block_ids, 4);
-  auto loaded = blocks.flat_map("gbam.read", [reader](const std::size_t& b) {
-    return reader->read_block(b);
-  });
-  EXPECT_EQ(loaded.count(), records.size());
-  EXPECT_EQ(loaded.collect(), records);
 }
 
 }  // namespace

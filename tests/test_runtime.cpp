@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "core/backend.hpp"
 #include "core/pipeline.hpp"
@@ -384,12 +385,6 @@ TEST(BlockStore, ReleaseKeepsFetchedHandlesAlive) {
 // ---------------------------------------------------------------------------
 // Multi-process loopback runtime
 
-WorkerPoolConfig pool_config() {
-  WorkerPoolConfig cfg;
-  cfg.worker_binary = GPF_WORKER_BIN;
-  return cfg;
-}
-
 using U64Partitions = std::vector<std::vector<std::uint64_t>>;
 
 /// Deterministic u64 records; each record is its own partitioning key.
@@ -498,7 +493,7 @@ TEST(Loopback, ShuffleReleasesWorkerBlocksOnSuccess) {
 }
 
 TEST(Loopback, SigkillMidTaskSurfacesAsWorkerLost) {
-  WorkerPool pool(pool_config());
+  WorkerPool pool(GPF_WORKER_BIN);
   pool.spawn_local(2);
   TaskRequest req;
   req.kind = "sleep_echo";
@@ -573,7 +568,7 @@ TEST(Loopback, LostBlocksRecomputeFromLineage) {
 }
 
 TEST(Loopback, HeartbeatDetectsSilentDeath) {
-  WorkerPool pool(pool_config());
+  WorkerPool pool(GPF_WORKER_BIN);
   pool.spawn_local(2);
   ASSERT_EQ(pool.alive_count(), 2u);
 
@@ -612,12 +607,12 @@ TEST(Loopback, InjectedStragglerTriggersSpeculation) {
 }
 
 TEST(Loopback, MissingBlockSurfacesAsTypedError) {
-  WorkerPool pool(pool_config());
+  WorkerPool pool(GPF_WORKER_BIN);
   pool.spawn_local(2);
 
   // A fetch of a block nobody pushed.
   try {
-    fetch_block_over_wire(pool.info(0).port, BlockId{"ghost", 4, 0}, {});
+    fetch_block_over_wire(pool.info(0).port, BlockId{"ghost", 4, 0});
     FAIL() << "fetch of a missing block succeeded";
   } catch (const MissingBlockError& e) {
     EXPECT_EQ(e.map_task(), 4u);
@@ -627,7 +622,7 @@ TEST(Loopback, MissingBlockSurfacesAsTypedError) {
   const std::vector<std::uint8_t> block = bytes_of("block bytes");
   ByteWriter w;
   w.uvarint(1);  // one block
-  w.u64(engine::shuffle_block_checksum(as_span(block)) ^ 1);
+  w.u64(fnv1a64(as_span(block)) ^ 1);
   w.uvarint(1);  // records
   w.uvarint(block.size());
   w.raw(as_span(block));
@@ -647,7 +642,7 @@ TEST(Loopback, MissingBlockSurfacesAsTypedError) {
 }
 
 TEST(Loopback, AllWorkersDeadIsTerminal) {
-  WorkerPool pool(pool_config());
+  WorkerPool pool(GPF_WORKER_BIN);
   pool.spawn_local(1);
   pool.kill_worker(0, SIGKILL);
   TaskRequest req;

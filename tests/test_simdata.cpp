@@ -60,12 +60,6 @@ TEST(ReferenceGen, OnlyValidBases) {
   }
 }
 
-TEST(ReverseComplement, Basic) {
-  EXPECT_EQ(reverse_complement("ACGTN"), "NACGT");
-  EXPECT_EQ(reverse_complement(""), "");
-  EXPECT_EQ(reverse_complement(reverse_complement("GATTACA")), "GATTACA");
-}
-
 TEST(VariantGen, RatesApproximatelyRespected) {
   const Reference ref =
       generate_reference(ReferenceSpec::single(500'000, 3));

@@ -1,18 +1,23 @@
 // Tests for the out-of-core chunk store: the on-disk chunk format and its
 // torn-write/corruption detection, the memory-budgeted residency layer,
-// and at-rest damage to the shuffle chunks the spilling backend writes.
+// at-rest damage to the shuffle chunks the spilling backend writes, and
+// aligned records saved as SAM chunks.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <unistd.h>
 
 #include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "common/fsio.hpp"
+#include "common/rng.hpp"
+#include "compress/record_codec.hpp"
 #include "store/chunk.hpp"
 #include "store/chunk_store.hpp"
 #include "store/residency.hpp"
+#include "store/sam_chunk.hpp"
 #include "store/shuffle_chunk.hpp"
 
 namespace gpf {
@@ -26,6 +31,7 @@ using store::ChunkRef;
 using store::ChunkStore;
 using store::ChunkStoreConfig;
 using store::ChunkView;
+using store::ColumnDesc;
 using store::ColumnSpec;
 using store::MappedChunk;
 using store::ResidencyManager;
@@ -301,6 +307,124 @@ TEST_F(StoreTest, AtRestDamageSurfacesTypedNeverSilent) {
   const auto chunk = cs.open(ref.path);  // footer intact: opens fine
   EXPECT_THROW(chunk->view().column("b0"), ChunkCorruptionError);
   EXPECT_NO_THROW(chunk->view().column("b1"));
+}
+
+// ---------------------------------------------------------------------------
+// SAM chunks
+
+std::vector<SamRecord> sample_records(std::size_t n) {
+  Rng rng(311);
+  std::vector<SamRecord> out;
+  const char bases[] = {'A', 'C', 'G', 'T'};
+  for (std::size_t i = 0; i < n; ++i) {
+    SamRecord r;
+    r.qname = "read" + std::to_string(i);
+    r.flag = static_cast<std::uint16_t>(rng.below(0x800));
+    r.contig_id = static_cast<std::int32_t>(rng.below(2));
+    r.pos = static_cast<std::int64_t>(rng.below(100'000));
+    r.mapq = static_cast<std::uint8_t>(rng.below(61));
+    std::string seq(80, 'A');
+    for (auto& c : seq) c = bases[rng.below(4)];
+    r.cigar = {{CigarOp::kMatch, 80}};
+    r.sequence = std::move(seq);
+    r.quality = std::string(80, static_cast<char>(40 + rng.below(30)));
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+SamHeader sample_header() {
+  SamHeader h;
+  h.contigs = {{"chr1", 100'000}, {"chr2", 100'000}};
+  h.coordinate_sorted = true;
+  return h;
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST_F(StoreTest, SamChunkRoundTripsAcrossBlocks) {
+  const auto records = sample_records(2 * store::kSamChunkBlockRecords + 7);
+  store::save_sam_chunk(path("a.gpc"), sample_header(), records);
+  const SamFile loaded = store::load_sam_chunk(path("a.gpc"));
+  EXPECT_EQ(loaded.header, sample_header());
+  EXPECT_EQ(loaded.records, records);
+  // A header column plus three block columns.
+  EXPECT_EQ(MappedChunk::open(path("a.gpc"))->view().columns().size(), 4u);
+}
+
+TEST_F(StoreTest, SamChunkEmptyRecordSetRoundTrips) {
+  store::save_sam_chunk(path("e.gpc"), sample_header(), {});
+  const SamFile loaded = store::load_sam_chunk(path("e.gpc"));
+  EXPECT_TRUE(loaded.records.empty());
+  EXPECT_EQ(loaded.header, sample_header());
+}
+
+TEST_F(StoreTest, SamChunkBlockColumnDecodesOnItsOwn) {
+  const auto records = sample_records(store::kSamChunkBlockRecords + 100);
+  store::save_sam_chunk(path("b.gpc"), sample_header(), records);
+  const auto chunk = MappedChunk::open(path("b.gpc"));
+  const auto block = decode_sam_batch(
+      chunk->view().column(store::block_column(1)), Codec::kGpf);
+  EXPECT_EQ(block, std::vector<SamRecord>(
+                       records.begin() + store::kSamChunkBlockRecords,
+                       records.end()));
+}
+
+TEST_F(StoreTest, SamChunkEveryTornPrefixThrowsFormatError) {
+  store::save_sam_chunk(path("full.gpc"), sample_header(),
+                        sample_records(20));
+  const auto bytes = read_file(path("full.gpc"));
+  ASSERT_GT(bytes.size(), store::kChunkTrailerBytes);
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    fs::write_file_prefix_for_testing(path("torn.gpc"), bytes, keep);
+    EXPECT_THROW(store::load_sam_chunk(path("torn.gpc")), ChunkFormatError)
+        << "prefix of " << keep << " bytes";
+  }
+}
+
+TEST_F(StoreTest, SamChunkFlippedBlockByteThrowsCorruption) {
+  store::save_sam_chunk(path("f.gpc"), sample_header(), sample_records(20));
+  auto bytes = read_file(path("f.gpc"));
+  const ChunkView view = ChunkView::parse(bytes);
+  const ColumnDesc* b0 = view.find("b0");
+  ASSERT_NE(b0, nullptr);
+  bytes[b0->offset + b0->size / 2] ^= 0x10;
+  fs::atomic_write_file(path("f.gpc"), bytes);
+  EXPECT_THROW(store::load_sam_chunk(path("f.gpc")), ChunkCorruptionError);
+}
+
+TEST_F(StoreTest, SamChunkHeaderClaimingTooManyContigsThrowsFormatError) {
+  ByteWriter header;
+  header.u8(1);
+  // 2^40 claimed contigs with room for one: rejected before any
+  // allocation sized by the count.
+  header.uvarint(std::uint64_t{1} << 40);
+  header.str("chr1");
+  header.uvarint(100);
+  ChunkData data;
+  data.columns.push_back({store::kSamHeaderColumn, 0, header.take()});
+  fs::atomic_write_file(path("h.gpc"), store::encode_chunk(data));
+  EXPECT_THROW(store::load_sam_chunk(path("h.gpc")), ChunkFormatError);
+}
+
+TEST_F(StoreTest, SamChunkRecordTotalMismatchThrowsFormatError) {
+  // Checksums all match, but the footer claims one record more than the
+  // block columns hold.
+  const auto records = sample_records(3);
+  ByteWriter header;
+  header.u8(0);
+  header.uvarint(0);
+  ChunkData data;
+  data.records = records.size() + 1;
+  data.columns.push_back({store::kSamHeaderColumn, 0, header.take()});
+  data.columns.push_back({store::block_column(0), 0,
+                          encode_sam_batch(records, Codec::kGpf)});
+  fs::atomic_write_file(path("m.gpc"), store::encode_chunk(data));
+  EXPECT_THROW(store::load_sam_chunk(path("m.gpc")), ChunkFormatError);
 }
 
 }  // namespace
