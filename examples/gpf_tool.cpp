@@ -161,6 +161,10 @@ int cmd_align(int argc, char** argv) {
   for (const auto& r : records) {
     if (!r.is_unmapped()) ++mapped;
   }
+  if (records.empty()) {
+    std::printf("wrote %s: 0 records\n", out.c_str());
+    return 0;
+  }
   std::printf("wrote %s: %zu records, %.1f%% mapped\n", out.c_str(),
               records.size(),
               100.0 * static_cast<double>(mapped) /

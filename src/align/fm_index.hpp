@@ -50,8 +50,8 @@ struct RefPosition {
 /// code: one compiled for the POPCNT instruction, one with the portable
 /// std::popcount (a libgcc call on the x86-64 baseline).  It takes the
 /// POPCNT build when the CPU has it and simd::active_level() is above
-/// scalar, so GPF_FORCE_SCALAR=1 pins the portable one.  Both give the same
-/// intervals.
+/// scalar, so GPF_SIMD_MAX=scalar pins the portable one.  Both give the
+/// same intervals.
 ///
 /// The suffix array is kept whole rather than sampled: at the multi-
 /// megabase scale of the synthetic genomes, a sampled SA with row markers

@@ -468,6 +468,7 @@ void sweep_at(simd::Level level, Wavefront& w) {
       sweep_mode<Vec4i>(w);
       return;
     case simd::Level::kAvx2:
+    case simd::Level::kAvx512:  // a wider vector measured no faster here
 #if defined(GPF_SIMD_X86)
       sweep_avx2(w);
 #else
@@ -498,11 +499,15 @@ void check_band(int band) {
 /// below zero, and glocal_batch_fits_int16 keeps the two ranges apart.
 constexpr std::int16_t kNegInf16 = std::numeric_limits<std::int16_t>::min() / 2;
 
+// Vec16s is only compiled inside the AVX2 target and Vec32s inside the
+// AVX-512 one.
 typedef std::int16_t Vec8s __attribute__((vector_size(16)));
 typedef std::int16_t Vec16s __attribute__((vector_size(32)));
+typedef std::int16_t Vec32s __attribute__((vector_size(64)));
 typedef std::uint8_t Bytes8 __attribute__((vector_size(8)));
 
-/// Jobs per vector: 1 for std::int16_t, 8 for Vec8s, 16 for Vec16s.
+/// Jobs per vector: 1 for std::int16_t, 8 for Vec8s, 16 for Vec16s, 32 for
+/// Vec32s.
 template <typename V>
 constexpr std::size_t kJobLanes = sizeof(V) / sizeof(std::int16_t);
 
@@ -525,9 +530,12 @@ template <typename V>
   } else if constexpr (kJobLanes<V> == 8) {
     const Bytes8 b = __builtin_convertvector(v, Bytes8);
     std::memcpy(p, &b, sizeof b);
-  } else {
-    static_assert(kJobLanes<V> == 16);
+  } else if constexpr (kJobLanes<V> == 16) {
     const Bytes16 b = __builtin_convertvector(v, Bytes16);
+    std::memcpy(p, &b, sizeof b);
+  } else {
+    static_assert(kJobLanes<V> == 32);
+    const Bytes32 b = __builtin_convertvector(v, Bytes32);
     std::memcpy(p, &b, sizeof b);
   }
 }
@@ -698,6 +706,11 @@ __attribute__((target("avx2"))) void sweep_batch_avx2(
     const BandShape& s, const ScoringScheme& sc, BatchWorkspace& ws) {
   sweep_batch_ref<Vec16s>(s, sc, ws);
 }
+
+__attribute__((target("avx512f,avx512bw,avx512vl"))) void sweep_batch_avx512(
+    const BandShape& s, const ScoringScheme& sc, BatchWorkspace& ws) {
+  sweep_batch_ref<Vec32s>(s, sc, ws);
+}
 #endif
 
 /// Jobs per vector at `level`.
@@ -710,6 +723,12 @@ std::size_t batch_lanes(simd::Level level) {
     case simd::Level::kAvx2:
 #if defined(GPF_SIMD_X86)
       return kJobLanes<Vec16s>;
+#else
+      return kJobLanes<Vec8s>;
+#endif
+    case simd::Level::kAvx512:
+#if defined(GPF_SIMD_X86)
+      return kJobLanes<Vec32s>;
 #else
       return kJobLanes<Vec8s>;
 #endif
@@ -731,7 +750,11 @@ void run_batch(simd::Level level, const BandShape& s, const ScoringScheme& sc,
     sweep_batch_ref<Vec8s>(s, sc, ws);
   } else {
 #if defined(GPF_SIMD_X86)
-    sweep_batch_avx2(s, sc, ws);
+    if (lanes == kJobLanes<Vec16s>) {
+      sweep_batch_avx2(s, sc, ws);
+    } else {
+      sweep_batch_avx512(s, sc, ws);
+    }
 #endif
   }
   for (std::size_t l = 0; l < count; ++l) {

@@ -9,9 +9,9 @@
 //    one diagonal do not depend on each other, so each SIMD vector computes
 //    consecutive rows of a diagonal in int32 lanes (8 under AVX2).
 //  * glocal_batch aligns many pairs at once, one per int16 lane (16 under
-//    AVX2), each lane sweeping its own band row by row.  Jobs whose scores
-//    could leave int16, and groups of one shape too small to fill half a
-//    vector, take the int32 kernel.
+//    AVX2, 32 under AVX-512), each lane sweeping its own band row by row.
+//    Jobs whose scores could leave int16, and groups of one shape too small
+//    to fill half a vector, take the int32 kernel.
 // Every lane evaluates the row-major recurrence's integer expressions in
 // the same order, so scores, spans, mismatches and CIGARs equal the
 // reference DP's at every dispatch level.  A negative band throws
@@ -81,7 +81,7 @@ namespace detail {
 
 /// glocal_batch at an explicit dispatch level (no higher than
 /// simd::detect_level()): kScalar runs one job per sweep, kSse4 eight,
-/// kAvx2 sixteen.
+/// kAvx2 sixteen, kAvx512 thirty-two.
 void glocal_batch_at(simd::Level level, std::span<const GlocalJob> jobs,
                      const ScoringScheme& scoring, int band,
                      std::vector<AlignmentResult>& out);
@@ -93,8 +93,8 @@ bool glocal_batch_fits_int16(std::size_t query_len, std::size_t window_len,
 
 /// banded_global / glocal at an explicit dispatch level (no higher than
 /// simd::detect_level()): kScalar runs the kernel one lane wide, kSse4 the
-/// portable 4-lane build, kAvx2 the AVX2 8-lane build.  Tests use them to
-/// compare every level on one binary.
+/// portable 4-lane build, kAvx2 and kAvx512 the AVX2 8-lane build.  Tests
+/// use them to compare every level on one binary.
 AlignmentResult banded_global_at(simd::Level level, std::string_view query,
                                  std::string_view ref,
                                  const ScoringScheme& scoring, int band);

@@ -34,10 +34,12 @@ const std::array<double, 256>& error_probs() {
 
 // One read per lane.  Vec2 is the portable build: one register of the
 // baseline ISA (SSE2 on x86-64, NEON on AArch64).  Vec4 is only compiled
-// inside the AVX2 target; without AVX the compiler splits it and spills,
-// which measured slower than the scalar kernel.
+// inside the AVX2 target and Vec8 inside the AVX-512 one; without their ISA
+// the compiler splits and spills them, which measured slower than the
+// scalar kernel.
 typedef double Vec2 __attribute__((vector_size(2 * sizeof(double))));
 typedef double Vec4 __attribute__((vector_size(4 * sizeof(double))));
+typedef double Vec8 __attribute__((vector_size(8 * sizeof(double))));
 
 /// Per-thread buffers, grown on demand and never shrunk.
 struct Workspace {
@@ -254,6 +256,13 @@ __attribute__((target("avx2"))) void run_reads_avx2(
     std::span<double> out) {
   run_reads<Vec4>(options, reads, quals, haplotype, out);
 }
+
+__attribute__((target("avx512f,avx512dq,avx512vl"))) void run_reads_avx512(
+    const PairHmmOptions& options, std::span<const std::string_view> reads,
+    std::span<const std::string_view> quals, std::string_view haplotype,
+    std::span<double> out) {
+  run_reads<Vec8>(options, reads, quals, haplotype, out);
+}
 #endif
 
 }  // namespace
@@ -305,6 +314,13 @@ void log10_likelihoods_at(simd::Level level, const PairHmmOptions& options,
     case simd::Level::kAvx2:
 #if defined(GPF_SIMD_X86)
       run_reads_avx2(options, reads, quals, haplotype, out);
+#else
+      run_reads<Vec2>(options, reads, quals, haplotype, out);
+#endif
+      return;
+    case simd::Level::kAvx512:
+#if defined(GPF_SIMD_X86)
+      run_reads_avx512(options, reads, quals, haplotype, out);
 #else
       run_reads<Vec2>(options, reads, quals, haplotype, out);
 #endif

@@ -55,8 +55,9 @@ namespace detail {
 
 /// log10_likelihoods at an explicit dispatch level (no higher than
 /// simd::detect_level()): kScalar evaluates one read at a time, kSse4 runs
-/// the portable 4-lane build, kAvx2 the AVX2 4-lane build.  Tests and the
-/// perf harness use it to compare levels on one binary.
+/// the portable 2-lane build, kAvx2 the AVX2 4-lane build and kAvx512 the
+/// AVX-512 8-lane build.  Tests and the perf harness use it to compare
+/// levels on one binary.
 void log10_likelihoods_at(simd::Level level, const PairHmmOptions& options,
                           std::span<const std::string_view> reads,
                           std::span<const std::string_view> quals,

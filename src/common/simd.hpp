@@ -1,16 +1,22 @@
 // Portable SIMD/SWAR support for the hot codec and alignment kernels.
 //
-// Three dispatch levels: a pure-C++ 64-bit SWAR path that compiles and runs
-// everywhere, and guarded SSE4/AVX2 intrinsic paths selected at runtime from
-// CPUID.  The scalar path is always compiled so it stays testable on any
-// machine; setting the environment variable GPF_FORCE_SCALAR=1 pins dispatch
-// to it (the perf-regression harness uses this to measure the vector paths
-// against their scalar baselines on the same binary).
+// Four dispatch levels: a pure-C++ 64-bit SWAR path that compiles and runs
+// everywhere, and guarded SSE4, AVX2 and AVX-512 paths selected at runtime
+// from CPUID.  The scalar path is always compiled so it stays testable on
+// any machine.  The environment variable GPF_SIMD_MAX=scalar|sse4|avx2|avx512
+// caps dispatch at that level (the perf-regression harness and the tests use
+// it to measure and check every level on the same binary).  Only the two
+// batched DP kernels (pair-HMM, glocal_batch) have an AVX-512 build; every
+// other kernel runs its AVX2 path at kAvx512.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define GPF_SIMD_X86 1
@@ -24,6 +30,7 @@ enum class Level : int {
   kScalar = 0,  // 64-bit SWAR, no intrinsics
   kSse4 = 1,    // 128-bit SSE4.2/SSSE3
   kAvx2 = 2,    // 256-bit AVX2
+  kAvx512 = 3,  // 512-bit AVX-512 F/BW/DQ/VL
 };
 
 inline const char* level_name(Level level) {
@@ -34,13 +41,22 @@ inline const char* level_name(Level level) {
       return "sse4";
     case Level::kAvx2:
       return "avx2";
+    case Level::kAvx512:
+      return "avx512";
   }
   return "?";
 }
 
-/// Highest level this CPU supports (compile-time gated, then CPUID).
+/// Highest level this CPU supports (compile-time gated, then CPUID; the
+/// AVX-512 check also requires the OS to save the zmm state).
 inline Level detect_level() {
 #if defined(GPF_SIMD_X86) && (defined(__GNUC__) || defined(__clang__))
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512dq") &&
+      __builtin_cpu_supports("avx512vl")) {
+    return Level::kAvx512;
+  }
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
   if (__builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("ssse3")) {
     return Level::kSse4;
@@ -49,15 +65,29 @@ inline Level detect_level() {
   return Level::kScalar;
 }
 
-/// Active dispatch level: detect_level() unless GPF_FORCE_SCALAR=1 is set in
-/// the environment.  Cached after the first call (env + CPUID cost once).
+/// Parses a GPF_SIMD_MAX value into the highest level dispatch may use.
+/// A level name caps at that level; an empty value means no cap.  Any
+/// other value throws std::invalid_argument rather than running uncapped.
+inline Level parse_level_cap(std::string_view value) {
+  if (value.empty()) return Level::kAvx512;
+  for (const Level level :
+       {Level::kScalar, Level::kSse4, Level::kAvx2, Level::kAvx512}) {
+    if (value == level_name(level)) return level;
+  }
+  std::string msg = "GPF_SIMD_MAX: unknown level '";
+  msg.append(value);
+  msg.append("' (expected scalar, sse4, avx2 or avx512)");
+  throw std::invalid_argument(msg);
+}
+
+/// Active dispatch level: detect_level(), capped by GPF_SIMD_MAX when it is
+/// set.  Cached after the first call (env + CPUID cost once); a bad
+/// GPF_SIMD_MAX throws from every call.
 inline Level active_level() {
   static const Level cached = [] {
-    const char* force = std::getenv("GPF_FORCE_SCALAR");
-    if (force != nullptr && force[0] == '1' && force[1] == '\0') {
-      return Level::kScalar;
-    }
-    return detect_level();
+    const char* cap = std::getenv("GPF_SIMD_MAX");
+    return std::min(detect_level(),
+                    parse_level_cap(cap != nullptr ? cap : ""));
   }();
   return cached;
 }

@@ -10,7 +10,7 @@ std::string format_duration(double seconds) {
   // explicitly instead of misformatting ("nanms", garbage minute counts).
   if (std::isnan(seconds)) return "nan";
   if (std::isinf(seconds)) return seconds < 0.0 ? "-inf" : "inf";
-  if (seconds < 0.0) return "-" + format_duration(-seconds);
+  if (seconds < 0.0) return std::string("-").append(format_duration(-seconds));
   char buf[64];
   if (seconds < 1.0) {
     std::snprintf(buf, sizeof buf, "%.0fms", seconds * 1e3);

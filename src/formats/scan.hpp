@@ -11,8 +11,9 @@
 // branch per byte.
 //
 // Three mask kernels exist per predicate — portable 64-bit SWAR, SSE4 and
-// AVX2 — selected by the simd::Level argument at runtime (GPF_FORCE_SCALAR
-// pins dispatch to the SWAR path; see common/simd.hpp).
+// AVX2 — selected by the simd::Level argument at runtime; kAvx512 runs the
+// AVX2 kernel (GPF_SIMD_MAX=scalar pins dispatch to the SWAR path; see
+// common/simd.hpp).
 #pragma once
 
 #include <algorithm>

@@ -57,7 +57,7 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   encode_header(header, frame);
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + frame.payload.size());
-  out.insert(out.end(), header, header + kFrameHeaderBytes);
+  out.assign(header, header + kFrameHeaderBytes);
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
   return out;
 }

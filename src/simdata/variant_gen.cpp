@@ -58,8 +58,8 @@ std::vector<VcfRecord> spawn_variants(const Reference& reference,
       } else if (r < spec.snp_rate + spec.indel_rate / 2) {
         // Insertion after this base.
         rec.ref = std::string(1, ref_base);
-        rec.alt = std::string(1, ref_base) +
-                  random_insertion(rng, spec.max_indel_length);
+        rec.alt = std::string(1, ref_base)
+                      .append(random_insertion(rng, spec.max_indel_length));
         truth.push_back(std::move(rec));
         pos += 2;
       } else if (r < spec.snp_rate + spec.indel_rate) {

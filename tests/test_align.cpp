@@ -17,6 +17,7 @@
 #include "engine/fault_injector.hpp"
 #include "simdata/read_sim.hpp"
 #include "simdata/reference_gen.hpp"
+#include "test_levels.hpp"
 
 namespace gpf::align {
 namespace {
@@ -326,21 +327,12 @@ TEST(SmithWaterman, NegativeBandIsInvalidArgument) {
 // The anti-diagonal kernel must reproduce the full-matrix reference DP at
 // every dispatch level this CPU runs: score, spans, mismatches and CIGAR.
 // Inputs are drawn under GPF_FUZZ_SEED, which CI sweeps under ASan with
-// GPF_FORCE_SCALAR both off and on.
+// dispatch uncapped and capped by GPF_SIMD_MAX.
+
+using tests::runnable_levels;
 
 std::uint64_t fuzz_seed() {
   return engine::seed_from_env("GPF_FUZZ_SEED", 42);
-}
-
-std::vector<simd::Level> runnable_levels() {
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::detect_level() >= simd::Level::kSse4) {
-    levels.push_back(simd::Level::kSse4);
-  }
-  if (simd::detect_level() >= simd::Level::kAvx2) {
-    levels.push_back(simd::Level::kAvx2);
-  }
-  return levels;
 }
 
 std::string printable(std::string_view s) {
@@ -582,9 +574,9 @@ TEST(SmithWatermanDifferential, PipelineShapes) {
 // --- batch kernel: glocal_batch against the reference -----------------------
 //
 // glocal_batch must return, for every job, the full-matrix reference's
-// glocal result at every dispatch level: 16 lanes under AVX2, 8 portable,
-// 1 at kScalar, with the int32 kernel taking the jobs int16 cannot hold and
-// the groups too small to fill half a vector.
+// glocal result at every dispatch level: 32 lanes under AVX-512, 16 under
+// AVX2, 8 portable, 1 at kScalar, with the int32 kernel taking the jobs
+// int16 cannot hold and the groups too small to fill half a vector.
 
 struct BatchCase {
   std::string query;
@@ -650,10 +642,11 @@ std::vector<BatchCase> extension_cases(Rng& rng, std::size_t count,
 }
 
 TEST(SmithWatermanDifferential, BatchSizes) {
-  // Below, at and past one and two 16-lane vectors: padded lanes, full
-  // vectors and an int32 tail.
+  // Below, at and past one and two 16- and 32-lane vectors: padded lanes,
+  // full vectors, the 32-lane half-vector cutoff at 16, int32 tails and a
+  // two-vector tail.
   Rng rng(fuzz_seed() + 20);
-  for (const std::size_t count : {1, 15, 16, 17, 33}) {
+  for (const std::size_t count : {1, 15, 16, 17, 31, 32, 33, 48, 65}) {
     expect_batch_matches_reference(extension_cases(rng, count, 100, 148), {},
                                    16, "size " + std::to_string(count));
   }
@@ -828,8 +821,8 @@ TEST(SmithWatermanDifferential, BatchInt16Boundary) {
 // that a binary search of the suffix array finds
 // (detail::sa_interval_reference, which never reads the occurrence blocks),
 // and locate() must agree with the suffix array on every row.  Inputs are
-// drawn under GPF_FUZZ_SEED; CI runs the wall with GPF_FORCE_SCALAR off and
-// on, which covers both popcount builds of search().
+// drawn under GPF_FUZZ_SEED; CI runs the wall uncapped and with
+// GPF_SIMD_MAX=scalar, which covers both popcount builds of search().
 
 /// A reference with its index and the oracle's inputs.  Not copyable: the
 /// index points at `ref`.
@@ -1011,7 +1004,7 @@ TEST(FmIndexDifferential, OneBaseContigs) {
   std::vector<FastaContig> contigs;
   for (int i = 0; i < 40; ++i) {
     const std::string base(1, "ACGTN"[rng.below(5)]);
-    contigs.push_back({"b" + std::to_string(i), base});
+    contigs.push_back({std::string("b").append(std::to_string(i)), base});
   }
   contigs.push_back({"long", fm_contig(rng, 300)});
   contigs.push_back({"last", "G"});
@@ -1327,7 +1320,7 @@ TEST_F(AlignerFixture, SamDigestGolden) {
   // The digest was recorded with the one-pair aligner that extended each
   // cluster with its own glocal() call; the batched extension must
   // reproduce it byte for byte at every dispatch level (CI runs this suite
-  // with GPF_FORCE_SCALAR=0 and =1).
+  // uncapped and with GPF_SIMD_MAX=avx2 and =scalar).
   const auto pairs = golden_pairs(reference);
   std::vector<SamRecord> records;
   aligner->align_pairs(pairs, records);

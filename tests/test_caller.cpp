@@ -24,6 +24,7 @@
 #include "simdata/read_sim.hpp"
 #include "simdata/reference_gen.hpp"
 #include "simdata/variant_gen.hpp"
+#include "test_levels.hpp"
 
 namespace gpf::caller {
 namespace {
@@ -247,21 +248,12 @@ TEST(PairHmm, LongReadNoUnderflow) {
 // The batched kernel must reproduce detail::log10_likelihood_reference bit
 // for bit (memcmp of the doubles) at every dispatch level this CPU runs.
 // Inputs are drawn under GPF_FUZZ_SEED, which CI sweeps under ASan with
-// GPF_FORCE_SCALAR both off and on.
+// dispatch uncapped and capped by GPF_SIMD_MAX.
+
+using tests::runnable_levels;
 
 std::uint64_t hmm_fuzz_seed() {
   return engine::seed_from_env("GPF_FUZZ_SEED", 42);
-}
-
-std::vector<simd::Level> runnable_levels() {
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::detect_level() >= simd::Level::kSse4) {
-    levels.push_back(simd::Level::kSse4);
-  }
-  if (simd::detect_level() >= simd::Level::kAvx2) {
-    levels.push_back(simd::Level::kAvx2);
-  }
-  return levels;
 }
 
 struct HmmCase {
@@ -333,9 +325,10 @@ std::string random_quals(Rng& rng, std::size_t n) {
   return q;
 }
 
-TEST(PairHmmDifferential, BatchSizesOneToNine) {
+TEST(PairHmmDifferential, BatchSizesOneToSeventeen) {
+  // Up to two full 8-lane vectors plus a remainder.
   Rng rng(hmm_fuzz_seed());
-  for (std::size_t batch = 1; batch <= 9; ++batch) {
+  for (std::size_t batch = 1; batch <= 17; ++batch) {
     for (int trial = 0; trial < 4; ++trial) {
       HmmCase c;
       c.haplotype = random_bases(rng, 20 + rng.below(120), "ACGT");
@@ -648,8 +641,8 @@ TEST(HaplotypeCallerE2E, RecoversPlantedVariants) {
 TEST(HaplotypeCallerE2E, VcfDigestGolden) {
   // A fixed simulated workload whose VCF digest was recorded with the
   // original one-pair scalar pair-HMM.  Every kernel and dispatch level
-  // must reproduce it bit for bit (CI runs this suite with
-  // GPF_FORCE_SCALAR=0 and =1).
+  // must reproduce it bit for bit (CI runs this suite uncapped and with
+  // GPF_SIMD_MAX=avx2 and =scalar).
   const Reference ref = simdata::generate_reference(
       simdata::ReferenceSpec::single(60'000, 307));
   simdata::VariantSpec vspec;

@@ -1,19 +1,23 @@
 // Unit tests for src/common: thread pool, RNG, byte serialization,
-// histogram, formatting.
+// histogram, formatting, SIMD level cap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <future>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 
@@ -412,6 +416,34 @@ TEST(Format, DurationsHandleNegativeAndNonFinite) {
 TEST(Format, Bytes) {
   EXPECT_EQ(format_bytes(500), "500B");
   EXPECT_EQ(format_bytes(20'000'000'000ULL), "20.0GB");
+}
+
+// --- GPF_SIMD_MAX ------------------------------------------------------------
+
+TEST(SimdLevelCap, EveryLevelNameCapsAtThatLevel) {
+  EXPECT_EQ(simd::parse_level_cap("scalar"), simd::Level::kScalar);
+  EXPECT_EQ(simd::parse_level_cap("sse4"), simd::Level::kSse4);
+  EXPECT_EQ(simd::parse_level_cap("avx2"), simd::Level::kAvx2);
+  EXPECT_EQ(simd::parse_level_cap("avx512"), simd::Level::kAvx512);
+}
+
+TEST(SimdLevelCap, EmptyValueMeansNoCap) {
+  EXPECT_EQ(simd::parse_level_cap(""), simd::Level::kAvx512);
+}
+
+TEST(SimdLevelCap, UnknownValueThrows) {
+  // A typo or a bare "1" must not silently mean "no cap".
+  for (const char* bad : {"1", "0", "AVX2", "avx", "avx2 ", " scalar",
+                          "avx512f", "none"}) {
+    EXPECT_THROW(simd::parse_level_cap(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(SimdLevelCap, ActiveLevelIsDetectedLevelUnderTheCap) {
+  const char* cap = std::getenv("GPF_SIMD_MAX");
+  EXPECT_EQ(simd::active_level(),
+            std::min(simd::detect_level(),
+                     simd::parse_level_cap(cap != nullptr ? cap : "")));
 }
 
 }  // namespace

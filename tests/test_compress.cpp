@@ -14,6 +14,7 @@
 #include "compress/qual_codec.hpp"
 #include "compress/record_codec.hpp"
 #include "compress/seq_codec.hpp"
+#include "test_levels.hpp"
 
 namespace gpf {
 namespace {
@@ -515,16 +516,6 @@ TEST(LiveSize, AccountsForHeapStrings) {
 
 // --- cross-level SIMD equivalence -----------------------------------------
 
-/// Dispatch levels the current machine can actually execute.  The scalar
-/// path is always present; SSE4/AVX2 only when the CPU supports them.
-std::vector<simd::Level> testable_levels() {
-  std::vector<simd::Level> levels{simd::Level::kScalar};
-  const simd::Level top = simd::detect_level();
-  if (top >= simd::Level::kSse4) levels.push_back(simd::Level::kSse4);
-  if (top >= simd::Level::kAvx2) levels.push_back(simd::Level::kAvx2);
-  return levels;
-}
-
 /// Asserts every available level compresses and decompresses `seq`
 /// byte-identically to the scalar path (packed payload, rewritten quality,
 /// restored sequence and quality).
@@ -532,7 +523,7 @@ void expect_levels_agree(const std::string& seq, const std::string& qual) {
   std::string scalar_qual = qual;
   const auto scalar = detail::compress_sequence_at(simd::Level::kScalar, seq,
                                                    scalar_qual);
-  for (const simd::Level level : testable_levels()) {
+  for (const simd::Level level : tests::runnable_levels()) {
     std::string q = qual;
     const auto got = detail::compress_sequence_at(level, seq, q);
     ASSERT_EQ(got.length, scalar.length) << simd::level_name(level);
@@ -604,7 +595,7 @@ TEST(SeqCodecSimd, TruncatedPackedThrowsAtEveryLevel) {
   CompressedSequence bad;
   bad.length = 10;
   bad.packed = {0x00};  // needs ceil(10/4) == 3 bytes
-  for (const simd::Level level : testable_levels()) {
+  for (const simd::Level level : tests::runnable_levels()) {
     std::string qual(10, 'I');
     EXPECT_THROW(detail::decompress_sequence_at(level, bad, qual),
                  std::out_of_range)

@@ -104,7 +104,7 @@ TEST(Engine, ShuffleWithCodecMeasuresBytesAndRoundTrips) {
   std::vector<SamRecord> records;
   for (int i = 0; i < 100; ++i) {
     SamRecord r;
-    r.qname = "r" + std::to_string(i);
+    r.qname = std::string("r").append(std::to_string(i));
     r.contig_id = 0;
     r.pos = i;
     r.sequence = "ACGTACGT";
@@ -481,7 +481,7 @@ TEST(Engine, ShuffleRecyclesEncodeBuffersThroughPool) {
   std::vector<SamRecord> records;
   for (int i = 0; i < 64; ++i) {
     SamRecord r;
-    r.qname = "r" + std::to_string(i);
+    r.qname = std::string("r").append(std::to_string(i));
     r.contig_id = 0;
     r.pos = i;
     r.sequence = "ACGTACGTACGTACGT";

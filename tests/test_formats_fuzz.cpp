@@ -6,7 +6,8 @@
 // on failure.
 //
 // The suite runs under GPF_FUZZ_SEED (see .github/workflows/ci.yml, which
-// sweeps seeds under ASan with GPF_FORCE_SCALAR both off and on); any
+// sweeps seeds under ASan with dispatch uncapped and capped by
+// GPF_SIMD_MAX=avx2 and =scalar); any
 // failure message includes the seed and the offending blob.
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "formats/sam.hpp"
 #include "formats/scan.hpp"
 #include "formats/vcf.hpp"
+#include "test_levels.hpp"
 
 namespace gpf {
 namespace {
@@ -265,9 +267,9 @@ std::string random_vcf_text(Rng& rng) {
     v.pos = static_cast<std::int64_t>(rng.below(10'000));
     v.id = rng.below(2) == 0 ? "." : numbered("rs", rng.below(100000));
     v.ref = random_bases(rng, 4);
-    if (v.ref.empty()) v.ref = "A";
+    if (v.ref.empty()) v.ref.push_back('A');
     v.alt = random_bases(rng, 4);
-    if (v.alt.empty()) v.alt = "C";
+    if (v.alt.empty()) v.alt.push_back('C');
     v.qual = static_cast<double>(rng.below(10'000)) / 100.0;  // %.2f-exact
     v.genotype = static_cast<Genotype>(rng.below(3));
     records.push_back(std::move(v));
@@ -318,12 +320,12 @@ TEST(FormatsFuzz, ScanKernelsAgreeWithByteLoops) {
       if (static_cast<char>(b) == needle) expected_eq |= std::uint64_t{1} << i;
       if (b < lo || b > hi) expected_bad |= std::uint64_t{1} << i;
     }
-    for (const simd::Level l : {simd::Level::kScalar, level}) {
+    for (const simd::Level l : tests::runnable_levels()) {
       ASSERT_EQ(fmt::eq_block_mask(l, buf.data(), needle), expected_eq)
-          << "seed=" << seed << " level=" << static_cast<int>(l);
+          << "seed=" << seed << " level=" << simd::level_name(l);
       ASSERT_EQ(fmt::range_violation_block_mask(l, buf.data(), lo, hi),
                 expected_bad)
-          << "seed=" << seed << " level=" << static_cast<int>(l);
+          << "seed=" << seed << " level=" << simd::level_name(l);
     }
 
     ASSERT_EQ(fmt::bytes_in_range(level, buf, lo, hi),
