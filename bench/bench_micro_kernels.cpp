@@ -496,7 +496,7 @@ KernelReport report_pair_hmm(const simd::Level fast) {
   // One active region's read x haplotype matrix, the shape call_region
   // fills: 100-base reads with a few substitutions and correlated quality
   // walks against four 300-420 base haplotypes.  61 reads leave a short
-  // last batch at 2 and 4 lanes.
+  // last batch at 4 and 8 lanes.
   const auto& ref = bench_reference();
   Rng rng(998);
   const std::string window(ref.slice(1, 20'000, 420));

@@ -107,9 +107,7 @@ AlignmentResult traceback_cells(std::string_view query, std::string_view ref,
 /// entries so the last vector of a diagonal may run past its band.
 constexpr std::size_t kMaxLanes = 8;
 
-// int32 lanes.  Vec4i is the portable build (one register of the baseline
-// ISA); Vec8i is only compiled inside the AVX2 target.
-typedef std::int32_t Vec4i __attribute__((vector_size(16)));
+// int32 lanes.  Vec8i is only compiled inside the AVX2 target.
 typedef std::int32_t Vec8i __attribute__((vector_size(32)));
 
 template <typename V>
@@ -135,10 +133,6 @@ template <typename V>
 [[gnu::always_inline]] inline void store_bytes(std::uint8_t* p, const V& v) {
   if constexpr (kLanes<V> == 1) {
     *p = static_cast<std::uint8_t>(v);
-  } else if constexpr (kLanes<V> == 4) {
-    const auto b = reinterpret_cast<Bytes16>(v);
-    const auto low = __builtin_shufflevector(b, b, 0, 4, 8, 12);
-    std::memcpy(p, &low, sizeof low);
   } else {
     static_assert(kLanes<V> == 8);
     // Gather within each 128-bit half, then join the halves: two
@@ -157,11 +151,6 @@ template <typename V>
 [[gnu::always_inline]] inline std::int32_t max_lane(const V& v) {
   if constexpr (kLanes<V> == 1) {
     return v;
-  } else if constexpr (kLanes<V> == 4) {
-    const V a = __builtin_shufflevector(v, v, 2, 3, 0, 1);
-    const V m = v > a ? v : a;
-    const V b = __builtin_shufflevector(m, m, 1, 0, 3, 2);
-    return (m > b ? m : b)[0];
   } else {
     static_assert(kLanes<V> == 8);
     const V a = __builtin_shufflevector(v, v, 4, 5, 6, 7, 0, 1, 2, 3);
@@ -314,7 +303,7 @@ struct Wavefront : BandShape {
 };
 
 /// The anti-diagonal sweep, kLanes<V> rows per step.  V is std::int32_t
-/// (one lane), Vec4i or Vec8i.  The last vector of a diagonal may run past
+/// (one lane) or Vec8i.  The last vector of a diagonal may run past
 /// its band.  Those lanes store kNegInf, so stale values never feed a later
 /// vector, and their traceback bytes land where the next diagonal's cells
 /// will overwrite them.
@@ -460,22 +449,15 @@ __attribute__((target("avx2"))) void sweep_avx2(Wavefront& w) {
 #endif
 
 void sweep_at(simd::Level level, Wavefront& w) {
-  switch (level) {
-    case simd::Level::kScalar:
-      sweep_mode<std::int32_t>(w);
-      return;
-    case simd::Level::kSse4:
-      sweep_mode<Vec4i>(w);
-      return;
-    case simd::Level::kAvx2:
-    case simd::Level::kAvx512:  // a wider vector measured no faster here
 #if defined(GPF_SIMD_X86)
-      sweep_avx2(w);
-#else
-      sweep_mode<Vec4i>(w);
-#endif
-      return;
+  // kAvx512 too: a wider vector measured no faster here.
+  if (level >= simd::Level::kAvx2) {
+    sweep_avx2(w);
+    return;
   }
+#endif
+  (void)level;
+  sweep_mode<std::int32_t>(w);
 }
 
 void check_band(int band) {
@@ -501,13 +483,10 @@ constexpr std::int16_t kNegInf16 = std::numeric_limits<std::int16_t>::min() / 2;
 
 // Vec16s is only compiled inside the AVX2 target and Vec32s inside the
 // AVX-512 one.
-typedef std::int16_t Vec8s __attribute__((vector_size(16)));
 typedef std::int16_t Vec16s __attribute__((vector_size(32)));
 typedef std::int16_t Vec32s __attribute__((vector_size(64)));
-typedef std::uint8_t Bytes8 __attribute__((vector_size(8)));
 
-/// Jobs per vector: 1 for std::int16_t, 8 for Vec8s, 16 for Vec16s, 32 for
-/// Vec32s.
+/// Jobs per vector: 1 for std::int16_t, 16 for Vec16s, 32 for Vec32s.
 template <typename V>
 constexpr std::size_t kJobLanes = sizeof(V) / sizeof(std::int16_t);
 
@@ -527,9 +506,6 @@ template <typename V>
                                                     const V& v) {
   if constexpr (kJobLanes<V> == 1) {
     *p = static_cast<std::uint8_t>(v);
-  } else if constexpr (kJobLanes<V> == 8) {
-    const Bytes8 b = __builtin_convertvector(v, Bytes8);
-    std::memcpy(p, &b, sizeof b);
   } else if constexpr (kJobLanes<V> == 16) {
     const Bytes16 b = __builtin_convertvector(v, Bytes16);
     std::memcpy(p, &b, sizeof b);
@@ -715,24 +691,11 @@ __attribute__((target("avx512f,avx512bw,avx512vl"))) void sweep_batch_avx512(
 
 /// Jobs per vector at `level`.
 std::size_t batch_lanes(simd::Level level) {
-  switch (level) {
-    case simd::Level::kScalar:
-      return 1;
-    case simd::Level::kSse4:
-      return kJobLanes<Vec8s>;
-    case simd::Level::kAvx2:
 #if defined(GPF_SIMD_X86)
-      return kJobLanes<Vec16s>;
-#else
-      return kJobLanes<Vec8s>;
+  if (level >= simd::Level::kAvx512) return kJobLanes<Vec32s>;
+  if (level >= simd::Level::kAvx2) return kJobLanes<Vec16s>;
 #endif
-    case simd::Level::kAvx512:
-#if defined(GPF_SIMD_X86)
-      return kJobLanes<Vec32s>;
-#else
-      return kJobLanes<Vec8s>;
-#endif
-  }
+  (void)level;
   return 1;
 }
 
@@ -746,8 +709,6 @@ void run_batch(simd::Level level, const BandShape& s, const ScoringScheme& sc,
   prepare_batch(ws, s, jobs, count, lanes);
   if (lanes == 1) {
     sweep_batch_ref<std::int16_t>(s, sc, ws);
-  } else if (lanes == kJobLanes<Vec8s>) {
-    sweep_batch_ref<Vec8s>(s, sc, ws);
   } else {
 #if defined(GPF_SIMD_X86)
     if (lanes == kJobLanes<Vec16s>) {

@@ -80,8 +80,8 @@ void glocal_batch(std::span<const GlocalJob> jobs,
 namespace detail {
 
 /// glocal_batch at an explicit dispatch level (no higher than
-/// simd::detect_level()): kScalar runs one job per sweep, kSse4 eight,
-/// kAvx2 sixteen, kAvx512 thirty-two.
+/// simd::detect_level()): kScalar runs one job per sweep, kAvx2 sixteen,
+/// kAvx512 thirty-two.
 void glocal_batch_at(simd::Level level, std::span<const GlocalJob> jobs,
                      const ScoringScheme& scoring, int band,
                      std::vector<AlignmentResult>& out);
@@ -92,9 +92,9 @@ bool glocal_batch_fits_int16(std::size_t query_len, std::size_t window_len,
                              const ScoringScheme& scoring);
 
 /// banded_global / glocal at an explicit dispatch level (no higher than
-/// simd::detect_level()): kScalar runs the kernel one lane wide, kSse4 the
-/// portable 4-lane build, kAvx2 and kAvx512 the AVX2 8-lane build.  Tests
-/// use them to compare every level on one binary.
+/// simd::detect_level()): kScalar runs the kernel one lane wide, kAvx2 and
+/// kAvx512 the AVX2 8-lane build.  Tests use them to compare every level on
+/// one binary.
 AlignmentResult banded_global_at(simd::Level level, std::string_view query,
                                  std::string_view ref,
                                  const ScoringScheme& scoring, int band);

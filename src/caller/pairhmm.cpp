@@ -32,12 +32,9 @@ const std::array<double, 256>& error_probs() {
   return table;
 }
 
-// One read per lane.  Vec2 is the portable build: one register of the
-// baseline ISA (SSE2 on x86-64, NEON on AArch64).  Vec4 is only compiled
-// inside the AVX2 target and Vec8 inside the AVX-512 one; without their ISA
-// the compiler splits and spills them, which measured slower than the
-// scalar kernel.
-typedef double Vec2 __attribute__((vector_size(2 * sizeof(double))));
+// One read per lane.  Vec4 is only compiled inside the AVX2 target and Vec8
+// inside the AVX-512 one; without their ISA the compiler splits and spills
+// them, which measured slower than the scalar kernel.
 typedef double Vec4 __attribute__((vector_size(4 * sizeof(double))));
 typedef double Vec8 __attribute__((vector_size(8 * sizeof(double))));
 
@@ -304,28 +301,17 @@ void log10_likelihoods_at(simd::Level level, const PairHmmOptions& options,
     std::fill(out.begin(), out.end(), -300.0);
     return;
   }
-  switch (level) {
-    case simd::Level::kScalar:
-      run_reads<double>(options, reads, quals, haplotype, out);
-      return;
-    case simd::Level::kSse4:
-      run_reads<Vec2>(options, reads, quals, haplotype, out);
-      return;
-    case simd::Level::kAvx2:
 #if defined(GPF_SIMD_X86)
-      run_reads_avx2(options, reads, quals, haplotype, out);
-#else
-      run_reads<Vec2>(options, reads, quals, haplotype, out);
-#endif
-      return;
-    case simd::Level::kAvx512:
-#if defined(GPF_SIMD_X86)
-      run_reads_avx512(options, reads, quals, haplotype, out);
-#else
-      run_reads<Vec2>(options, reads, quals, haplotype, out);
-#endif
-      return;
+  if (level >= simd::Level::kAvx512) {
+    run_reads_avx512(options, reads, quals, haplotype, out);
+    return;
   }
+  if (level >= simd::Level::kAvx2) {
+    run_reads_avx2(options, reads, quals, haplotype, out);
+    return;
+  }
+#endif
+  run_reads<double>(options, reads, quals, haplotype, out);
 }
 
 double log10_likelihood_reference(const PairHmmOptions& options,

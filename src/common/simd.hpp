@@ -1,10 +1,11 @@
 // Portable SIMD/SWAR support for the hot codec and alignment kernels.
 //
-// Four dispatch levels: a pure-C++ 64-bit SWAR path that compiles and runs
-// everywhere, and guarded SSE4, AVX2 and AVX-512 paths selected at runtime
-// from CPUID.  The scalar path is always compiled so it stays testable on
-// any machine.  The environment variable GPF_SIMD_MAX=scalar|sse4|avx2|avx512
-// caps dispatch at that level (the perf-regression harness and the tests use
+// Three dispatch levels: a pure-C++ 64-bit SWAR path that compiles and runs
+// everywhere, and guarded AVX2 and AVX-512 paths selected at runtime from
+// CPUID.  The scalar path is always compiled so it stays testable on any
+// machine, and it is the only level off x86-64 or on an x86 CPU without
+// AVX2.  The environment variable GPF_SIMD_MAX=scalar|avx2|avx512 caps
+// dispatch at that level (the perf-regression harness and the tests use
 // it to measure and check every level on the same binary).  Only the two
 // batched DP kernels (pair-HMM, glocal_batch) have an AVX-512 build; every
 // other kernel runs its AVX2 path at kAvx512.
@@ -25,20 +26,17 @@
 
 namespace gpf::simd {
 
-/// Dispatch levels, ordered so `level >= kSse4` style comparisons work.
+/// Dispatch levels, ordered so `level >= kAvx2` style comparisons work.
 enum class Level : int {
   kScalar = 0,  // 64-bit SWAR, no intrinsics
-  kSse4 = 1,    // 128-bit SSE4.2/SSSE3
-  kAvx2 = 2,    // 256-bit AVX2
-  kAvx512 = 3,  // 512-bit AVX-512 F/BW/DQ/VL
+  kAvx2 = 1,    // 256-bit AVX2
+  kAvx512 = 2,  // 512-bit AVX-512 F/BW/DQ/VL
 };
 
 inline const char* level_name(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse4:
-      return "sse4";
     case Level::kAvx2:
       return "avx2";
     case Level::kAvx512:
@@ -58,9 +56,6 @@ inline Level detect_level() {
     return Level::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse4.2") && __builtin_cpu_supports("ssse3")) {
-    return Level::kSse4;
-  }
 #endif
   return Level::kScalar;
 }
@@ -70,13 +65,12 @@ inline Level detect_level() {
 /// other value throws std::invalid_argument rather than running uncapped.
 inline Level parse_level_cap(std::string_view value) {
   if (value.empty()) return Level::kAvx512;
-  for (const Level level :
-       {Level::kScalar, Level::kSse4, Level::kAvx2, Level::kAvx512}) {
+  for (const Level level : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
     if (value == level_name(level)) return level;
   }
   std::string msg = "GPF_SIMD_MAX: unknown level '";
   msg.append(value);
-  msg.append("' (expected scalar, sse4, avx2 or avx512)");
+  msg.append("' (expected scalar, avx2 or avx512)");
   throw std::invalid_argument(msg);
 }
 

@@ -88,44 +88,6 @@ std::uint16_t swar_pack8(std::uint64_t w) {
 
 #if defined(GPF_SIMD_X86)
 
-/// Packs full 16-base blocks with SSE; returns the first unprocessed index.
-/// Blocks containing special bases fall back to the scalar escape path.
-__attribute__((target("sse4.2,ssse3"))) std::size_t compress_sse4(
-    const char* seq, char* qual, std::size_t n, std::uint8_t* packed) {
-  const __m128i va = _mm_set1_epi8('A');
-  const __m128i vc = _mm_set1_epi8('C');
-  const __m128i vg = _mm_set1_epi8('G');
-  const __m128i vt = _mm_set1_epi8('T');
-  const __m128i ones = _mm_set1_epi8(1);
-  const __m128i pair_w = _mm_set1_epi16(0x0401);
-  const __m128i quad_w = _mm_set1_epi32(0x00100001);
-  const __m128i gather = _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1,
-                                       -1, -1, -1, -1, -1, -1);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i w =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(seq + i));
-    const __m128i valid =
-        _mm_or_si128(_mm_or_si128(_mm_cmpeq_epi8(w, va), _mm_cmpeq_epi8(w, vc)),
-                     _mm_or_si128(_mm_cmpeq_epi8(w, vg), _mm_cmpeq_epi8(w, vt)));
-    if (_mm_movemask_epi8(valid) != 0xffff) {
-      compress_block_scalar(seq, qual, i, i + 16, packed);
-      continue;
-    }
-    const __m128i s1 = _mm_srli_epi64(w, 1);
-    const __m128i s2 = _mm_srli_epi64(w, 2);
-    const __m128i low = _mm_and_si128(s2, ones);
-    const __m128i high = _mm_and_si128(_mm_xor_si128(s1, s2), ones);
-    const __m128i codes = _mm_or_si128(_mm_add_epi8(high, high), low);
-    const __m128i pair = _mm_maddubs_epi16(codes, pair_w);
-    const __m128i quad = _mm_madd_epi16(pair, quad_w);
-    const std::uint32_t out = static_cast<std::uint32_t>(
-        _mm_cvtsi128_si32(_mm_shuffle_epi8(quad, gather)));
-    std::memcpy(packed + (i >> 2), &out, 4);
-  }
-  return i;
-}
-
 /// Packs full 32-base blocks with AVX2; returns the first unprocessed index.
 __attribute__((target("avx2"))) std::size_t compress_avx2(
     const char* seq, char* qual, std::size_t n, std::uint8_t* packed) {
@@ -198,15 +160,11 @@ CompressedSequence compress_sequence_at(simd::Level level,
 
   std::size_t i = 0;
 #if defined(GPF_SIMD_X86)
-  if (level >= simd::Level::kAvx2) {
-    i = compress_avx2(seq, qual, n, packed);
-  } else if (level >= simd::Level::kSse4) {
-    i = compress_sse4(seq, qual, n, packed);
-  }
+  if (level >= simd::Level::kAvx2) i = compress_avx2(seq, qual, n, packed);
 #endif
   // SWAR path: eight bases per step.  Also covers the 8..31 base tail left
-  // by the wider intrinsic loops (their strides are multiples of 8, so the
-  // packed output stays byte-aligned).
+  // by the AVX2 loop (its stride is a multiple of 8, so the packed output
+  // stays byte-aligned).
   for (; i + 8 <= n; i += 8) {
     const std::uint64_t w = simd::load_u64(seq + i);
     if (!all_acgt8(w)) {

@@ -50,7 +50,7 @@ namespace detail {
 
 /// Entry points with an explicit dispatch level.  The public functions call
 /// these with simd::active_level(); tests and the perf harness call them
-/// directly to assert the SWAR/SSE4/AVX2 paths are byte-identical to the
+/// directly to assert the SWAR/AVX2 paths are byte-identical to the
 /// scalar path and to measure each path on the same machine.
 CompressedSequence compress_sequence_at(simd::Level level,
                                         std::string_view sequence,

@@ -12,8 +12,8 @@ namespace {
 // --- 64-byte block mask kernels ---------------------------------------------
 //
 // Each kernel reads exactly 64 bytes and returns one bit per byte.  The
-// SWAR path composes eight 8-lane masks via movemask_lanes; the SSE4 and
-// AVX2 paths use the hardware movemask.
+// SWAR path composes eight 8-lane masks via movemask_lanes; the AVX2 path
+// uses the hardware movemask.
 
 std::uint64_t eq_block_swar(const char* p, char needle) {
   std::uint64_t mask = 0;
@@ -40,21 +40,6 @@ std::uint64_t range_violation_block_swar(const char* p, std::uint8_t lo,
 
 #if defined(GPF_SIMD_X86)
 
-__attribute__((target("sse4.2,ssse3"))) std::uint64_t eq_block_sse4(
-    const char* p, char needle) {
-  const __m128i n = _mm_set1_epi8(needle);
-  std::uint64_t mask = 0;
-  for (int i = 0; i < 4; ++i) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * i));
-    mask |= static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(
-                    _mm_movemask_epi8(_mm_cmpeq_epi8(v, n))))
-            << (16 * i);
-  }
-  return mask;
-}
-
 __attribute__((target("avx2"))) std::uint64_t eq_block_avx2(const char* p,
                                                             char needle) {
   const __m256i n = _mm256_set1_epi8(needle);
@@ -67,26 +52,6 @@ __attribute__((target("avx2"))) std::uint64_t eq_block_avx2(const char* p,
   const auto mhi = static_cast<std::uint32_t>(
       _mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, n)));
   return static_cast<std::uint64_t>(mhi) << 32 | mlo;
-}
-
-__attribute__((target("sse4.2,ssse3"))) std::uint64_t
-range_violation_block_sse4(const char* p, std::uint8_t lo, std::uint8_t hi) {
-  const __m128i vlo = _mm_set1_epi8(static_cast<char>(lo));
-  const __m128i vhi = _mm_set1_epi8(static_cast<char>(hi));
-  const __m128i zero = _mm_setzero_si128();
-  std::uint64_t mask = 0;
-  for (int i = 0; i < 4; ++i) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * i));
-    // subs_epu8(v, hi) != 0  <=>  v > hi;  subs_epu8(lo, v) != 0  <=> v < lo.
-    const __m128i bad = _mm_or_si128(_mm_subs_epu8(v, vhi),
-                                     _mm_subs_epu8(vlo, v));
-    const __m128i ok = _mm_cmpeq_epi8(bad, zero);
-    mask |= static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(_mm_movemask_epi8(ok)) ^ 0xFFFFu)
-            << (16 * i);
-  }
-  return mask;
 }
 
 __attribute__((target("avx2"))) std::uint64_t range_violation_block_avx2(
@@ -142,36 +107,6 @@ ClassMasks classify_block_swar(const char* p) {
 
 #if defined(GPF_SIMD_X86)
 
-__attribute__((target("sse4.2,ssse3"))) ClassMasks classify_block_sse4(
-    const char* p) {
-  const __m128i nl = _mm_set1_epi8('\n');
-  const __m128i sp = _mm_set1_epi8(' ');
-  const __m128i cr = _mm_set1_epi8('\r');
-  const __m128i lo = _mm_set1_epi8(0x20);
-  const __m128i hi = _mm_set1_epi8(0x7E);
-  const __m128i zero = _mm_setzero_si128();
-  ClassMasks m{0, 0, 0, 0};
-  for (int i = 0; i < 4; ++i) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * i));
-    const auto nlm = static_cast<std::uint32_t>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(v, nl)));
-    const auto spm = static_cast<std::uint32_t>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(v, sp)));
-    const auto crm = static_cast<std::uint32_t>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(v, cr)));
-    const __m128i viol =
-        _mm_or_si128(_mm_subs_epu8(v, hi), _mm_subs_epu8(lo, v));
-    const auto okm = static_cast<std::uint32_t>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(viol, zero)));
-    m.newline |= static_cast<std::uint64_t>(nlm) << (16 * i);
-    m.space |= static_cast<std::uint64_t>(spm) << (16 * i);
-    m.bad |= static_cast<std::uint64_t>((okm ^ 0xFFFFu) & ~nlm) << (16 * i);
-    m.cr |= static_cast<std::uint64_t>(crm) << (16 * i);
-  }
-  return m;
-}
-
 __attribute__((target("avx2"))) ClassMasks classify_block_avx2(const char* p) {
   const __m256i nl = _mm256_set1_epi8('\n');
   const __m256i sp = _mm256_set1_epi8(' ');
@@ -206,7 +141,6 @@ __attribute__((target("avx2"))) ClassMasks classify_block_avx2(const char* p) {
 ClassMasks classify_block(simd::Level level, const char* p) {
 #if defined(GPF_SIMD_X86)
   if (level >= simd::Level::kAvx2) return classify_block_avx2(p);
-  if (level >= simd::Level::kSse4) return classify_block_sse4(p);
 #endif
   (void)level;
   return classify_block_swar(p);
@@ -261,8 +195,7 @@ void scan_profile_range(simd::Level level, std::string_view text,
 /// words — cheaper than padding out a 64-byte buffer for short lines,
 /// which are the common case.  Bits at or past `n` are zero because the
 /// last word's padding is forced to differ from the needle.
-std::uint64_t eq_tail_mask(simd::Level /*level*/, const char* p, std::size_t n,
-                           char needle) {
+std::uint64_t eq_tail_mask(const char* p, std::size_t n, char needle) {
   std::uint64_t mask = 0;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -293,7 +226,7 @@ void scan_range(simd::Level level, std::string_view text, std::size_t begin,
     if (n >= 64) {
       mask = eq_block_mask(level, data + i, needle);
     } else {
-      mask = eq_tail_mask(level, data + i, n, needle);
+      mask = eq_tail_mask(data + i, n, needle);
     }
     while (mask != 0) {
       out.push_back(static_cast<std::uint32_t>(
@@ -309,7 +242,6 @@ void scan_range(simd::Level level, std::string_view text, std::size_t begin,
 std::uint64_t eq_block_mask(simd::Level level, const char* p, char needle) {
 #if defined(GPF_SIMD_X86)
   if (level >= simd::Level::kAvx2) return eq_block_avx2(p, needle);
-  if (level >= simd::Level::kSse4) return eq_block_sse4(p, needle);
 #endif
   (void)level;
   return eq_block_swar(p, needle);
@@ -319,7 +251,6 @@ std::uint64_t range_violation_block_mask(simd::Level level, const char* p,
                                          std::uint8_t lo, std::uint8_t hi) {
 #if defined(GPF_SIMD_X86)
   if (level >= simd::Level::kAvx2) return range_violation_block_avx2(p, lo, hi);
-  if (level >= simd::Level::kSse4) return range_violation_block_sse4(p, lo, hi);
 #endif
   (void)level;
   return range_violation_block_swar(p, lo, hi);
@@ -366,7 +297,7 @@ void split_fields(simd::Level level, std::string_view line, char sep,
   while (i < n) {
     const std::size_t left = n - i;
     std::uint64_t mask = left >= 64 ? eq_block_mask(level, data + i, sep)
-                                    : eq_tail_mask(level, data + i, left, sep);
+                                    : eq_tail_mask(data + i, left, sep);
     while (mask != 0) {
       const std::size_t pos =
           i + static_cast<std::size_t>(std::countr_zero(mask));

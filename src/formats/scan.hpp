@@ -10,9 +10,9 @@
 // validation becomes a handful of mask tests per record instead of a
 // branch per byte.
 //
-// Three mask kernels exist per predicate — portable 64-bit SWAR, SSE4 and
-// AVX2 — selected by the simd::Level argument at runtime; kAvx512 runs the
-// AVX2 kernel (GPF_SIMD_MAX=scalar pins dispatch to the SWAR path; see
+// Two mask kernels exist per predicate — portable 64-bit SWAR and AVX2 —
+// selected by the simd::Level argument at runtime; kAvx512 runs the AVX2
+// kernel (GPF_SIMD_MAX=scalar pins dispatch to the SWAR path; see
 // common/simd.hpp).
 #pragma once
 

@@ -575,8 +575,8 @@ TEST(SmithWatermanDifferential, PipelineShapes) {
 //
 // glocal_batch must return, for every job, the full-matrix reference's
 // glocal result at every dispatch level: 32 lanes under AVX-512, 16 under
-// AVX2, 8 portable, 1 at kScalar, with the int32 kernel taking the jobs
-// int16 cannot hold and the groups too small to fill half a vector.
+// AVX2, 1 at kScalar, with the int32 kernel taking the jobs int16 cannot
+// hold and the groups too small to fill half a vector.
 
 struct BatchCase {
   std::string query;

@@ -13,8 +13,8 @@ namespace gpf::tests {
 /// explicitly, so a capped run still checks every level the CPU has.
 inline std::vector<simd::Level> runnable_levels() {
   std::vector<simd::Level> levels;
-  for (const simd::Level level : {simd::Level::kScalar, simd::Level::kSse4,
-                                  simd::Level::kAvx2, simd::Level::kAvx512}) {
+  for (const simd::Level level :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
     if (level <= simd::detect_level()) levels.push_back(level);
   }
   return levels;
