@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace gpf::cleaner {
 namespace {
@@ -126,6 +127,54 @@ double RecalTable::empirical_quality(int reported_quality, int cycle,
   return std::clamp(result, 1.0, 93.0);
 }
 
+void RecalTable::smoothed_bins(int cycles, Bins& out) const {
+  cycles = std::clamp(cycles, 1, kMaxCycle);
+  out.global = global_empirical_quality();
+  out.cycles = cycles;
+  auto emp = [](const Cell& cell) {
+    return cell.observations == 0
+               ? std::numeric_limits<double>::quiet_NaN()
+               : phred((static_cast<double>(cell.mismatches) + 1.0) /
+                       (static_cast<double>(cell.observations) + 2.0));
+  };
+  out.by_quality.resize(kMaxQuality);
+  out.by_quality_cycle.resize(static_cast<std::size_t>(kMaxQuality) *
+                              static_cast<std::size_t>(cycles));
+  out.by_quality_context.resize(static_cast<std::size_t>(kMaxQuality) *
+                                kContexts);
+  for (std::size_t q = 0; q < kMaxQuality; ++q) {
+    out.by_quality[q] = emp(by_quality_[q]);
+    for (std::size_t c = 0; c < static_cast<std::size_t>(cycles); ++c) {
+      out.by_quality_cycle[q * static_cast<std::size_t>(cycles) + c] =
+          emp(by_quality_cycle_[q * kMaxCycle + c]);
+    }
+    for (std::size_t x = 0; x < kContexts; ++x) {
+      out.by_quality_context[q * kContexts + x] =
+          emp(by_quality_context_[q * kContexts + x]);
+    }
+  }
+}
+
+double RecalTable::Bins::quality(int reported_quality, int cycle,
+                                 int context) const {
+  // empirical_quality()'s expressions in its order, NaN for an empty bin.
+  const auto q = static_cast<std::size_t>(
+      std::clamp(reported_quality, 0, kMaxQuality - 1));
+  const double q_emp = by_quality[q];
+  if (std::isnan(q_emp)) return global;
+  double result = q_emp;
+  const auto c = static_cast<std::size_t>(std::clamp(cycle, 0, cycles - 1));
+  const double qc_emp =
+      by_quality_cycle[q * static_cast<std::size_t>(cycles) + c];
+  if (!std::isnan(qc_emp)) result += qc_emp - q_emp;
+  if (context >= 0 && context < kContexts) {
+    const double qx_emp =
+        by_quality_context[q * kContexts + static_cast<std::size_t>(context)];
+    if (!std::isnan(qx_emp)) result += qx_emp - q_emp;
+  }
+  return std::clamp(result, 1.0, 93.0);
+}
+
 std::size_t RecalTable::byte_size() const {
   return (by_quality_.size() + by_quality_cycle_.size() +
           by_quality_context_.size()) *
@@ -182,6 +231,17 @@ RecalTable collect_covariates(std::span<const SamRecord> records,
 ApplyStats apply_recalibration(std::vector<SamRecord>& records,
                                const RecalTable& table) {
   ApplyStats stats;
+  // Cycle bins beyond the longest read are never read.
+  std::size_t longest = 0;
+  for (const auto& rec : records) {
+    if (!rec.is_unmapped()) longest = std::max(longest, rec.quality.size());
+  }
+  if (longest == 0) return stats;
+  const auto cycles = static_cast<int>(
+      std::min<std::size_t>(longest, RecalTable::kMaxCycle));
+  // Per thread, so a partition's pass reuses the previous one's capacity.
+  static thread_local RecalTable::Bins bins;
+  table.smoothed_bins(cycles, bins);
   for (auto& rec : records) {
     if (rec.is_unmapped()) continue;
     for (std::size_t i = 0; i < rec.quality.size(); ++i) {
@@ -189,8 +249,7 @@ ApplyStats apply_recalibration(std::vector<SamRecord>& records,
       const int reported = rec.quality[i] - 33;
       const char prev = i > 0 ? rec.sequence[i - 1] : 'N';
       const int context = dinucleotide_context(prev, rec.sequence[i]);
-      const double emp =
-          table.empirical_quality(reported, static_cast<int>(i), context);
+      const double emp = bins.quality(reported, static_cast<int>(i), context);
       const int recal = static_cast<int>(std::lround(emp));
       const char out = static_cast<char>(std::clamp(recal, 1, 93) + 33);
       if (out != rec.quality[i]) {

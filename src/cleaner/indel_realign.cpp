@@ -5,9 +5,17 @@
 namespace gpf::cleaner {
 namespace {
 
-/// Alignment score of a record against the reference under `scoring`,
-/// derived from its CIGAR and sequence (soft clips cost nothing but also
-/// score nothing).
+bool cigar_has_indel(const Cigar& cigar) {
+  for (const auto& el : cigar) {
+    if (el.op == CigarOp::kInsertion || el.op == CigarOp::kDeletion) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 std::int32_t current_alignment_score(const SamRecord& rec,
                                      const Reference& reference,
                                      const align::ScoringScheme& scoring) {
@@ -54,17 +62,6 @@ std::int32_t current_alignment_score(const SamRecord& rec,
   }
   return score;
 }
-
-bool cigar_has_indel(const Cigar& cigar) {
-  for (const auto& el : cigar) {
-    if (el.op == CigarOp::kInsertion || el.op == CigarOp::kDeletion) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 std::vector<RealignTarget> find_realign_targets(
     std::span<const SamRecord> records,
@@ -119,7 +116,24 @@ RealignStats realign_reads(std::vector<SamRecord>& records,
   stats.targets = targets.size();
   if (targets.empty()) return stats;
 
-  for (auto& rec : records) {
+  // When no gap scores positively, no glocal alignment of a read scores
+  // more than its length times the best substitution score.  The accept
+  // rule needs strictly more than the current score, so a read that
+  // already reaches that bound is not queued.
+  const align::ScoringScheme& scoring = options.scoring;
+  const bool bound_holds = scoring.gap_open <= 0 && scoring.gap_extend <= 0;
+  const std::int64_t best_substitution = std::max<std::int64_t>(
+      {0, scoring.match, scoring.mismatch, scoring.n_score});
+
+  struct Candidate {
+    std::size_t record;
+    std::int64_t window_lo;
+    std::int32_t old_score;
+  };
+  std::vector<Candidate> candidates;
+  std::vector<align::GlocalJob> jobs;
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    const SamRecord& rec = records[k];
     if (rec.is_unmapped() || rec.is_secondary()) continue;
     const std::int64_t lo = rec.pos;
     const std::int64_t hi = rec.end_pos();
@@ -140,14 +154,25 @@ RealignStats realign_reads(std::vector<SamRecord>& records,
     const std::string_view window =
         reference.slice(rec.contig_id, win_lo, win_hi - win_lo);
     if (window.size() < rec.sequence.size()) continue;
-    const std::int64_t effective_lo = std::max<std::int64_t>(0, win_lo);
-
-    const align::AlignmentResult r =
-        align::glocal(rec.sequence, window, options.scoring, options.band);
-    if (r.cigar.empty()) continue;
     const std::int32_t old_score =
-        current_alignment_score(rec, reference, options.scoring);
-    if (r.score <= old_score) continue;
+        current_alignment_score(rec, reference, scoring);
+    if (bound_holds &&
+        old_score >= static_cast<std::int64_t>(rec.sequence.size()) *
+                         best_substitution) {
+      continue;
+    }
+    candidates.push_back({k, std::max<std::int64_t>(0, win_lo), old_score});
+    jobs.push_back({rec.sequence, window});
+  }
+
+  // One batched alignment of every queued read, then the accept rule in
+  // record order; each result equals the read's own glocal() call.
+  std::vector<align::AlignmentResult> results;
+  align::glocal_batch(jobs, scoring, options.band, results);
+  for (std::size_t j = 0; j < candidates.size(); ++j) {
+    const align::AlignmentResult& r = results[j];
+    if (r.cigar.empty() || r.score <= candidates[j].old_score) continue;
+    SamRecord& rec = records[candidates[j].record];
 
     // Accept: rebuild position and CIGAR (with soft clips).
     Cigar cigar;
@@ -162,7 +187,7 @@ RealignStats realign_reads(std::vector<SamRecord>& records,
       cigar.push_back({CigarOp::kSoftClip, static_cast<std::uint32_t>(tail)});
     }
     rec.cigar = std::move(cigar);
-    rec.pos = effective_lo + r.ref_start;
+    rec.pos = candidates[j].window_lo + r.ref_start;
     ++stats.reads_realigned;
   }
   return stats;

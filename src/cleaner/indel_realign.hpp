@@ -4,6 +4,13 @@
 // reference window with a wider band, accepting the new alignment when it
 // scores better.  This cleans up alignment artifacts around indels before
 // calling.
+//
+// realign_reads queues every considered read's (read, window) pair and
+// aligns them all in one align::glocal_batch call, then applies the accept
+// rule in record order.  A read whose current score already reaches the
+// glocal upper bound (length x best substitution score, valid when gaps
+// score <= 0) cannot be beaten and is not queued.  Records and stats equal
+// those of one glocal() call per considered read.
 #pragma once
 
 #include <cstdint>
@@ -45,13 +52,23 @@ std::vector<RealignTarget> find_realign_targets(
     std::span<const SamRecord> records,
     std::span<const VcfRecord> known_sites, const RealignOptions& options);
 
+/// Alignment score of a record against the reference under `scoring`,
+/// derived from its CIGAR and sequence (soft clips cost nothing but also
+/// score nothing): the score a realignment has to beat.
+std::int32_t current_alignment_score(const SamRecord& rec,
+                                     const Reference& reference,
+                                     const align::ScoringScheme& scoring);
+
 struct RealignStats {
   std::size_t targets = 0;
   std::size_t reads_considered = 0;
   std::size_t reads_realigned = 0;
 };
 
-/// Pass 2: realigns reads overlapping the targets in place.
+/// Pass 2: realigns reads overlapping the targets in place.  A read is
+/// considered when it overlaps a target; it is realigned when its glocal
+/// alignment against the target window scores strictly more than its
+/// current CIGAR.
 RealignStats realign_reads(std::vector<SamRecord>& records,
                            const Reference& reference,
                            std::span<const RealignTarget> targets,

@@ -59,6 +59,27 @@ std::int64_t SamRecord::unclipped_start() const {
   return end - 1;
 }
 
+void check_record_lengths(const SamRecord& rec) {
+  if (!rec.quality.empty() && rec.quality.size() != rec.sequence.size()) {
+    throw std::invalid_argument("SAM: QUAL length " +
+                                std::to_string(rec.quality.size()) +
+                                " differs from SEQ length " +
+                                std::to_string(rec.sequence.size()));
+  }
+  if (rec.cigar.empty()) return;
+  std::uint64_t query_length = 0;  // 64-bit: op lengths cannot wrap it
+  for (const auto& el : rec.cigar) {
+    if (consumes_read(el.op)) query_length += el.length;
+  }
+  if (query_length != rec.sequence.size() ||
+      query_length != rec.quality.size()) {
+    throw std::invalid_argument(
+        "SAM: CIGAR covers " + std::to_string(query_length) +
+        " query bases but SEQ has " + std::to_string(rec.sequence.size()) +
+        " and QUAL " + std::to_string(rec.quality.size()));
+  }
+}
+
 std::int32_t SamHeader::find_contig(std::string_view name) const {
   for (std::size_t i = 0; i < contigs.size(); ++i) {
     if (contigs[i].name == name) return static_cast<std::int32_t>(i);
@@ -121,6 +142,7 @@ SamRecord parse_sam_record(simd::Level level,
   }
   rec.sequence = fields[9] == "*" ? "" : std::string(fields[9]);
   rec.quality = fields[10] == "*" ? "" : std::string(fields[10]);
+  check_record_lengths(rec);
   return rec;
 }
 

@@ -82,8 +82,15 @@ struct SamHeader {
   bool operator==(const SamHeader&) const = default;
 };
 
+/// Throws std::invalid_argument when a non-empty QUAL's length differs
+/// from SEQ's, or a non-empty CIGAR's query length differs from SEQ's or
+/// QUAL's: the Processes read SEQ and QUAL at every base the CIGAR covers.
+/// Readers of SAM text and of stored records check every record with it.
+void check_record_lengths(const SamRecord& rec);
+
 /// Parses SAM text (header "@" lines populate the returned header).
-/// Throws std::invalid_argument on malformed records.
+/// Throws std::invalid_argument on malformed records, including those
+/// check_record_lengths() rejects ("*" counts as length 0 there).
 struct SamFile {
   SamHeader header;
   std::vector<SamRecord> records;

@@ -78,6 +78,7 @@ SamFile load_sam_chunk(const std::string& path) {
     for (std::size_t b = 0; b + 1 < view.columns().size(); ++b) {
       column = block_column(b);
       auto block = decode_sam_batch(view.column(column), Codec::kGpf);
+      for (const auto& rec : block) check_record_lengths(rec);
       file.records.insert(file.records.end(),
                           std::make_move_iterator(block.begin()),
                           std::make_move_iterator(block.end()));

@@ -36,8 +36,8 @@ void save_sam_chunk(const std::string& path, const SamHeader& header,
 
 /// Reads a chunk written by save_sam_chunk.  Throws the MappedChunk::open
 /// and ChunkView::column errors, and ChunkFormatError for a malformed
-/// header or block column or a decoded record total that differs from the
-/// footer's.
+/// header or block column, a record check_record_lengths() rejects, or a
+/// decoded record total that differs from the footer's.
 SamFile load_sam_chunk(const std::string& path);
 
 }  // namespace gpf::store

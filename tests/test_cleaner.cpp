@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "align/bwamem.hpp"
 #include "align/fm_index.hpp"
@@ -11,6 +13,7 @@
 #include "cleaner/markdup.hpp"
 #include "cleaner/sorter.hpp"
 #include "common/rng.hpp"
+#include "engine/fault_injector.hpp"
 #include "simdata/read_sim.hpp"
 #include "simdata/reference_gen.hpp"
 
@@ -404,6 +407,381 @@ TEST(Bqsr, BroadcastTableSizeIsStable) {
   EXPECT_GT(empty_size, 100'000u);       // multi-100KB broadcast payload
 }
 
+// --- BQSR differential wall ---------------------------------------------
+//
+// apply_recalibration indexes bins smoothed once per call; the oracle is
+// the per-base loop over RecalTable::empirical_quality it replaced.
+// Tables and reads are drawn under GPF_FUZZ_SEED, which CI sweeps under
+// ASan.
+
+std::uint64_t fuzz_seed() {
+  return engine::seed_from_env("GPF_FUZZ_SEED", 42);
+}
+
+ApplyStats apply_by_empirical_quality(std::vector<SamRecord>& records,
+                                      const RecalTable& table) {
+  ApplyStats stats;
+  for (auto& rec : records) {
+    if (rec.is_unmapped()) continue;
+    for (std::size_t i = 0; i < rec.quality.size(); ++i) {
+      ++stats.bases_seen;
+      const int reported = rec.quality[i] - 33;
+      const char prev = i > 0 ? rec.sequence[i - 1] : 'N';
+      const int context = dinucleotide_context(prev, rec.sequence[i]);
+      const double emp =
+          table.empirical_quality(reported, static_cast<int>(i), context);
+      const int recal = static_cast<int>(std::lround(emp));
+      const char out = static_cast<char>(std::clamp(recal, 1, 93) + 33);
+      if (out != rec.quality[i]) {
+        rec.quality[i] = out;
+        ++stats.bases_adjusted;
+      }
+    }
+  }
+  return stats;
+}
+
+/// A table with observations in a random subset of quality bins (the rest
+/// stay empty), spread over every cycle bin and context, -1 included.
+RecalTable random_table(Rng& rng, std::size_t observations) {
+  RecalTable table;
+  std::vector<int> qualities;
+  for (int q = 0; q < RecalTable::kMaxQuality; ++q) {
+    if (rng.chance(0.3)) qualities.push_back(q);
+  }
+  if (qualities.empty()) return table;
+  for (std::size_t k = 0; k < observations; ++k) {
+    const int q = qualities[rng.below(qualities.size())];
+    // Mostly short cycles, some past kMaxCycle (clamped into the last bin).
+    const int cycle = static_cast<int>(rng.below(rng.chance(0.9) ? 160 : 700));
+    const int context = static_cast<int>(rng.range(-1, 15));
+    table.observe(q, cycle, context, rng.chance(0.02 + 0.3 * rng.uniform()));
+  }
+  return table;
+}
+
+/// Reads over ACGTN with qualities below '!' and above Q93, some longer
+/// than kMaxCycle, plus unmapped reads that must stay untouched.
+std::vector<SamRecord> random_reads(Rng& rng, std::size_t count) {
+  static constexpr char kBases[] = {'A', 'C', 'G', 'T', 'N'};
+  std::vector<SamRecord> records;
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto len = static_cast<std::size_t>(
+        rng.chance(0.05) ? rng.range(513, 700) : rng.range(1, 160));
+    std::string seq(len, 'A');
+    std::string qual(len, 'I');
+    for (std::size_t i = 0; i < len; ++i) {
+      seq[i] = kBases[rng.chance(0.05) ? 4 : rng.below(4)];
+      // Now and then any byte from '\x01' to DEL: below '!', above Q93.
+      qual[i] = static_cast<char>(rng.chance(0.05) ? rng.range(1, 127)
+                                                   : 33 + rng.range(2, 45));
+    }
+    auto rec = make_record("r" + std::to_string(k), 0,
+                           static_cast<std::int64_t>(k), false, seq);
+    rec.quality = qual;
+    if (rng.chance(0.05)) rec.flag |= SamFlags::kUnmapped;
+    records.push_back(std::move(rec));
+  }
+  return records;
+}
+
+TEST(BqsrDifferential, BinsEqualEmpiricalQualityEveryBin) {
+  Rng rng(fuzz_seed());
+  for (const std::size_t observations : {0, 50, 20'000}) {
+    const RecalTable table = random_table(rng, observations);
+    for (const int cycles : {1, 37, RecalTable::kMaxCycle}) {
+      RecalTable::Bins bins;
+      table.smoothed_bins(cycles, bins);
+      for (int q = -3; q < RecalTable::kMaxQuality + 3; ++q) {
+        for (int cycle = 0; cycle < cycles; ++cycle) {
+          for (int context = -1; context <= RecalTable::kContexts; ++context) {
+            const double want = table.empirical_quality(q, cycle, context);
+            const double got = bins.quality(q, cycle, context);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want))
+                << "q " << q << " cycle " << cycle << " context " << context
+                << " cycles " << cycles << " obs " << observations;
+          }
+        }
+      }
+    }
+    // Past the last bin, every cycle reads the last bin.
+    RecalTable::Bins bins;
+    table.smoothed_bins(RecalTable::kMaxCycle, bins);
+    for (const int cycle : {RecalTable::kMaxCycle, 600, 100'000}) {
+      EXPECT_EQ(bins.quality(30, cycle, 5),
+                table.empirical_quality(30, cycle, 5));
+    }
+  }
+}
+
+TEST(BqsrDifferential, ApplyMatchesPerBaseEmpiricalQuality) {
+  Rng rng(fuzz_seed() ^ 0x5bd1e995);
+  for (int trial = 0; trial < 12; ++trial) {
+    const RecalTable table =
+        random_table(rng, trial == 0 ? 0 : rng.below(30'000));
+    const std::vector<SamRecord> reads = random_reads(rng, 60);
+    std::vector<SamRecord> fast = reads;
+    std::vector<SamRecord> oracle = reads;
+    const ApplyStats got = apply_recalibration(fast, table);
+    const ApplyStats want = apply_by_empirical_quality(oracle, table);
+    EXPECT_EQ(got.bases_seen, want.bases_seen) << "trial " << trial;
+    EXPECT_EQ(got.bases_adjusted, want.bases_adjusted) << "trial " << trial;
+    for (std::size_t k = 0; k < reads.size(); ++k) {
+      ASSERT_EQ(fast[k].quality, oracle[k].quality)
+          << "trial " << trial << " read " << k << " length "
+          << reads[k].sequence.size();
+    }
+  }
+  // No records, or only unmapped ones: nothing seen, nothing adjusted.
+  std::vector<SamRecord> none;
+  const ApplyStats empty = apply_recalibration(none, random_table(rng, 100));
+  EXPECT_EQ(empty.bases_seen, 0u);
+}
+
+// --- IndelRealign differential wall -------------------------------------
+//
+// Reads drawn across 20-30 bp indels, wider than the aligner's band, and
+// first placed without the gap, so the realigner does rewrite them.  The
+// batched realign_reads must equal the one-read-at-a-time glocal() loop it
+// replaced: every CIGAR and position, and RealignStats.  CI runs this
+// uncapped and at each GPF_SIMD_MAX cap, under ASan.
+
+RealignStats realign_one_by_one(std::vector<SamRecord>& records,
+                                const Reference& reference,
+                                std::span<const RealignTarget> targets,
+                                const RealignOptions& options) {
+  RealignStats stats;
+  stats.targets = targets.size();
+  if (targets.empty()) return stats;
+  for (auto& rec : records) {
+    if (rec.is_unmapped() || rec.is_secondary()) continue;
+    const std::int64_t lo = rec.pos;
+    const std::int64_t hi = rec.end_pos();
+    auto it = std::lower_bound(
+        targets.begin(), targets.end(), rec,
+        [](const RealignTarget& t, const SamRecord& r) {
+          if (t.contig_id != r.contig_id) return t.contig_id < r.contig_id;
+          return t.end <= r.pos;
+        });
+    if (it == targets.end() || !it->overlaps(rec.contig_id, lo, hi)) continue;
+    ++stats.reads_considered;
+    const std::int64_t win_lo =
+        std::min(lo, it->start) - options.window_flank;
+    const std::int64_t win_hi = std::max(hi, it->end) + options.window_flank;
+    const std::string_view window =
+        reference.slice(rec.contig_id, win_lo, win_hi - win_lo);
+    if (window.size() < rec.sequence.size()) continue;
+    const align::AlignmentResult r =
+        align::glocal(rec.sequence, window, options.scoring, options.band);
+    if (r.cigar.empty()) continue;
+    if (r.score <= current_alignment_score(rec, reference, options.scoring)) {
+      continue;
+    }
+    Cigar cigar;
+    if (r.query_start > 0) {
+      cigar.push_back({CigarOp::kSoftClip,
+                       static_cast<std::uint32_t>(r.query_start)});
+    }
+    cigar.insert(cigar.end(), r.cigar.begin(), r.cigar.end());
+    const auto tail =
+        static_cast<std::int32_t>(rec.sequence.size()) - r.query_end;
+    if (tail > 0) {
+      cigar.push_back({CigarOp::kSoftClip, static_cast<std::uint32_t>(tail)});
+    }
+    rec.cigar = std::move(cigar);
+    rec.pos = std::max<std::int64_t>(0, win_lo) + r.ref_start;
+    ++stats.reads_realigned;
+  }
+  return stats;
+}
+
+struct RealignCase {
+  Reference reference;
+  std::vector<SamRecord> records;
+  std::vector<VcfRecord> known;
+  std::int64_t bound_read_pos = 0;  // where the two skip-bound reads sit
+};
+
+/// Indels of 20-30 bp every ~1 kb of a random contig, each crossed by
+/// reads placed as all-M (or M plus a soft clip) from the donor read's
+/// start; plus clean reads, N-bearing reads, secondary and unmapped reads,
+/// and reads at both contig ends.
+RealignCase random_realign_case(Rng& rng) {
+  static constexpr char kBases[] = {'A', 'C', 'G', 'T'};
+  constexpr std::int64_t kLength = 12'000;
+  RealignCase c{simdata::generate_reference(simdata::ReferenceSpec::single(
+                    kLength, rng.below(1'000'000))),
+                {},
+                {},
+                0};
+  const std::string& seq = c.reference.contig(0).sequence;
+  auto add = [&c](std::string read, std::int64_t pos, Cigar cigar) {
+    auto rec = make_record("r" + std::to_string(c.records.size()), 0, pos,
+                           false, std::move(read));
+    rec.cigar = std::move(cigar);
+    c.records.push_back(std::move(rec));
+  };
+  for (std::int64_t site = 600; site + 700 < kLength; site += 1'000) {
+    const auto len = static_cast<std::size_t>(rng.range(20, 30));
+    std::string donor = seq.substr(static_cast<std::size_t>(site) - 300, 300);
+    if (rng.chance(0.5)) {  // deletion of seq[site, site + len)
+      donor += seq.substr(static_cast<std::size_t>(site) + len, 300);
+      c.known.push_back({0, site - 1, ".", seq.substr(site - 1, len + 1),
+                         seq.substr(site - 1, 1), 50.0, Genotype::kHet});
+    } else {  // insertion before seq[site]
+      std::string ins(len, 'A');
+      for (auto& b : ins) b = kBases[rng.below(4)];
+      donor += ins + seq.substr(static_cast<std::size_t>(site), 300);
+      c.known.push_back({0, site - 1, ".", seq.substr(site - 1, 1),
+                         seq.substr(site - 1, 1) + ins, 50.0,
+                         Genotype::kHet});
+    }
+    for (int k = 0; k < 14; ++k) {
+      const auto read_len = static_cast<std::size_t>(rng.range(60, 150));
+      // Starts that put the breakpoint inside the read.
+      const auto offset = static_cast<std::size_t>(
+          rng.range(300 - static_cast<std::int64_t>(read_len) + 8, 292));
+      std::string read = donor.substr(offset, read_len);
+      const std::int64_t pos = site - 300 + static_cast<std::int64_t>(offset);
+      const auto n = static_cast<std::uint32_t>(read_len);
+      if (rng.chance(0.25)) {
+        // The aligner's soft-clipped answer: the part past the indel clipped.
+        const std::uint32_t kept = static_cast<std::uint32_t>(300 - offset);
+        add(std::move(read), pos,
+            {{CigarOp::kMatch, kept}, {CigarOp::kSoftClip, n - kept}});
+      } else {
+        if (rng.chance(0.2)) read[rng.below(read_len)] = 'N';
+        add(std::move(read), pos, {{CigarOp::kMatch, n}});
+      }
+    }
+    // Clean reads inside the target window: they already reach the
+    // glocal bound and are not queued.
+    for (int k = 0; k < 4; ++k) {
+      const std::int64_t pos = site - 200 + rng.range(0, 60);
+      add(seq.substr(static_cast<std::size_t>(pos), 100), pos,
+          {{CigarOp::kMatch, 100}});
+    }
+  }
+  // A read sitting exactly at the skip bound (100 matches: score 100), and
+  // one a point below it (its first base clipped: score 99), which glocal
+  // beats by aligning the clipped base.
+  const std::int64_t at = c.known.front().pos - 40;
+  c.bound_read_pos = at;
+  add(seq.substr(static_cast<std::size_t>(at), 100), at,
+      {{CigarOp::kMatch, 100}});
+  add(seq.substr(static_cast<std::size_t>(at), 100), at + 1,
+      {{CigarOp::kSoftClip, 1}, {CigarOp::kMatch, 99}});
+  // Secondary and unmapped reads are never considered.
+  for (const std::uint16_t flag : {SamFlags::kSecondary, SamFlags::kUnmapped}) {
+    add(seq.substr(static_cast<std::size_t>(at), 50), at,
+        {{CigarOp::kMatch, 50}});
+    c.records.back().flag |= flag;
+  }
+  // Reads at the contig ends, with targets there: the window is clipped at
+  // position 0 and at the contig end, where it is shorter than a read that
+  // runs 200 bases past the end.
+  c.known.push_back({0, 10, ".", seq.substr(10, 3), seq.substr(10, 1), 50.0,
+                     Genotype::kHet});
+  c.known.push_back({0, kLength - 20, ".", seq.substr(kLength - 20, 3),
+                     seq.substr(kLength - 20, 1), 50.0, Genotype::kHet});
+  add(seq.substr(0, 20) + seq.substr(23, 60), 0, {{CigarOp::kMatch, 80}});
+  std::string tail_read = seq.substr(kLength - 150, 150);
+  tail_read[75] = tail_read[75] == 'A' ? 'C' : 'A';
+  add(tail_read, kLength - 150, {{CigarOp::kMatch, 150}});
+  std::string past_end = seq.substr(kLength - 100, 100);
+  for (int k = 0; k < 200; ++k) past_end += kBases[rng.below(4)];
+  add(std::move(past_end), kLength - 100, {{CigarOp::kMatch, 300}});
+  std::sort(
+      c.known.begin(), c.known.end(),
+      [](const VcfRecord& a, const VcfRecord& b) { return a.pos < b.pos; });
+  coordinate_sort(c.records);
+  return c;
+}
+
+void expect_realign_equal(const RealignCase& c, const RealignOptions& options,
+                          const std::string& label) {
+  const auto targets = find_realign_targets(c.records, c.known, options);
+  std::vector<SamRecord> batched = c.records;
+  std::vector<SamRecord> oracle = c.records;
+  const RealignStats got =
+      realign_reads(batched, c.reference, targets, options);
+  const RealignStats want =
+      realign_one_by_one(oracle, c.reference, targets, options);
+  EXPECT_EQ(got.targets, want.targets) << label;
+  EXPECT_EQ(got.reads_considered, want.reads_considered) << label;
+  EXPECT_EQ(got.reads_realigned, want.reads_realigned) << label;
+  for (std::size_t k = 0; k < oracle.size(); ++k) {
+    ASSERT_EQ(batched[k].pos, oracle[k].pos) << label << " read " << k;
+    ASSERT_EQ(cigar_to_string(batched[k].cigar),
+              cigar_to_string(oracle[k].cigar))
+        << label << " read " << k;
+  }
+  EXPECT_EQ(batched, oracle) << label;
+}
+
+TEST(RealignDifferential, BatchedEqualsOneByOne) {
+  Rng rng(fuzz_seed());
+  for (int trial = 0; trial < 3; ++trial) {
+    const RealignCase c = random_realign_case(rng);
+    RealignOptions options;
+    const auto targets = find_realign_targets(c.records, c.known, options);
+    std::vector<SamRecord> records = c.records;
+    const RealignStats stats =
+        realign_reads(records, c.reference, targets, options);
+    // The fixture reaches the accept branch, and not for every read.
+    EXPECT_GT(stats.reads_realigned, 20u) << "trial " << trial;
+    EXPECT_LT(stats.reads_realigned, stats.reads_considered);
+    expect_realign_equal(c, options, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(RealignDifferential, ReadAtTheSkipBoundIsLeftAlone) {
+  Rng rng(fuzz_seed() ^ 0x2545f491);
+  const RealignCase c = random_realign_case(rng);
+  RealignOptions options;
+  const auto targets = find_realign_targets(c.records, c.known, options);
+  std::vector<SamRecord> records = c.records;
+  realign_reads(records, c.reference, targets, options);
+  // Locate the two bound reads: 100 bases, at and one past `at`.
+  const std::int64_t at = c.bound_read_pos;
+  int checked = 0;
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    const SamRecord& before = c.records[k];
+    if (before.sequence.size() != 100 || before.pos < at ||
+        before.pos > at + 1 || before.is_secondary()) {
+      continue;
+    }
+    if (before.cigar.size() == 1 && before.pos == at) {
+      EXPECT_EQ(current_alignment_score(before, c.reference, options.scoring),
+                100);
+      EXPECT_EQ(records[k], before);  // at the bound: unchanged
+      ++checked;
+    } else if (before.cigar.size() == 2) {
+      EXPECT_EQ(current_alignment_score(before, c.reference, options.scoring),
+                99);
+      EXPECT_EQ(cigar_to_string(records[k].cigar), "100M");
+      EXPECT_EQ(records[k].pos, at);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 2);
+}
+
+TEST(RealignDifferential, OtherScoringSchemes) {
+  // Scores where N is free, and where gaps score positively: the bound
+  // does not hold there, so nothing may be skipped.
+  Rng rng(fuzz_seed() ^ 0x9e3779b9);
+  const RealignCase c = random_realign_case(rng);
+  RealignOptions n_free;
+  n_free.scoring = {.match = 2, .mismatch = -3, .gap_open = -5,
+                    .gap_extend = -2, .n_score = 0};
+  expect_realign_equal(c, n_free, "N scores 0");
+  RealignOptions gap_bonus;
+  gap_bonus.scoring.gap_extend = 1;
+  gap_bonus.band = 8;
+  expect_realign_equal(c, gap_bonus, "positive gap extension");
+}
 
 TEST(MarkDup, SecondaryAndUnmappedNeverMarked) {
   auto secondary = make_record("s", 0, 100);

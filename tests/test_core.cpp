@@ -5,12 +5,15 @@
 
 #include <algorithm>
 
+#include "common/checksum.hpp"
+#include "common/simd.hpp"
 #include "core/partition_info.hpp"
 #include "core/pipeline.hpp"
 #include "core/processes.hpp"
 #include "core/resource.hpp"
 #include "core/cohort.hpp"
 #include "core/wgs_pipeline.hpp"
+#include "formats/vcf.hpp"
 #include "simdata/read_sim.hpp"
 #include "simdata/reference_gen.hpp"
 
@@ -411,6 +414,31 @@ TEST_F(WgsFixture, CodecChoiceDoesNotChangeResults) {
             e2.metrics().total_shuffle_bytes());
 }
 
+TEST_F(WgsFixture, VcfDigestGolden) {
+  // The whole pipeline, BaseRecalibration and IndelRealign included, on a
+  // fixed simulated sample.  The digest was recorded with the per-base
+  // empirical_quality() BQSR and the one-read-at-a-time glocal() realigner;
+  // every kernel and dispatch level must reproduce it bit for bit.
+  engine::Engine engine({.worker_threads = 4});
+  PipelineConfig config;
+  config.partition_length = 20'000;
+  auto& w = workload();
+  const WgsResult result = run_wgs_pipeline(engine, w.reference,
+                                            w.sample.pairs, w.truth, config);
+  ASSERT_GT(result.variants.size(), 100u);
+  VcfHeader header;
+  for (const auto& c : w.reference.contigs()) {
+    header.contigs.push_back(
+        {c.name, static_cast<std::int64_t>(c.sequence.size())});
+  }
+  const std::string vcf = write_vcf(header, result.variants);
+  const std::uint64_t digest = fnv1a64(std::span(
+      reinterpret_cast<const std::uint8_t*>(vcf.data()), vcf.size()));
+  EXPECT_EQ(digest, 0x982d39625997d180ULL)
+      << result.variants.size() << " calls, level "
+      << simd::level_name(simd::active_level()) << ", digest 0x" << std::hex
+      << digest;
+}
 
 TEST_F(WgsFixture, GvcfModeEmitsReferenceBlocks) {
   engine::Engine engine({.worker_threads = 4});

@@ -384,6 +384,23 @@ TEST(Sam, MalformedCorpusBothPathsAgree) {
        "SAM: non-ASCII byte in QUAL"},
       {"bad @SQ length", "@SQ\tSN:chr1\tLN:12x\n",
        "SAM: bad integer field: 12x"},
+      {"CIGAR longer than SEQ",
+       "r\t0\tchr1\t1\t0\t100M\t*\t0\t0\tACGTA\tIIIII\n",
+       "SAM: CIGAR covers 100 query bases but SEQ has 5 and QUAL 5"},
+      {"CIGAR shorter than SEQ",
+       "r\t0\tchr1\t1\t0\t2M1D2S\t*\t0\t0\tACGTA\tIIIII\n",
+       "SAM: CIGAR covers 4 query bases but SEQ has 5 and QUAL 5"},
+      {"CIGAR lengths wrap 32 bits",
+       "r\t0\tchr1\t1\t0\t4294967295M6M\t*\t0\t0\tACGTA\tIIIII\n",
+       "SAM: CIGAR covers 4294967301 query bases but SEQ has 5 and QUAL 5"},
+      {"CIGAR without SEQ", "r\t0\tchr1\t1\t0\t2M\t*\t0\t0\t*\t*\n",
+       "SAM: CIGAR covers 2 query bases but SEQ has 0 and QUAL 0"},
+      {"CIGAR without QUAL", "r\t0\tchr1\t1\t0\t2M\t*\t0\t0\tAC\t*\n",
+       "SAM: CIGAR covers 2 query bases but SEQ has 2 and QUAL 0"},
+      {"QUAL longer than SEQ", "r\t4\t*\t0\t0\t*\t*\t0\t0\tAC\tIII\n",
+       "SAM: QUAL length 3 differs from SEQ length 2"},
+      {"QUAL without SEQ", "r\t4\t*\t0\t0\t*\t*\t0\t0\t*\tII\n",
+       "SAM: QUAL length 2 differs from SEQ length 0"},
   };
   for (const auto& c : kCases) {
     const std::string text = header + c.text;

@@ -230,7 +230,11 @@ TEST_P(SeedSweep, SamTextRoundTripsValidFiles) {
     r.mate_contig_id = static_cast<std::int32_t>(rng.below(n_contigs + 1)) - 1;
     r.mate_pos = static_cast<std::int64_t>(rng.below(100'000)) - 1;
     r.tlen = static_cast<std::int64_t>(rng.below(4'000)) - 2'000;
-    const std::size_t len = rng.below(60);
+    // A CIGAR's query length is SEQ's length (the parser rejects any
+    // other); a record without one draws its own.
+    const std::size_t drawn = rng.below(60);
+    const std::size_t len =
+        r.cigar.empty() ? drawn : cigar_read_length(r.cigar);
     for (std::size_t k = 0; k < len; ++k) {
       r.sequence.push_back("ACGTN"[rng.below(5)]);
       r.quality.push_back(static_cast<char>(33 + rng.below(94)));

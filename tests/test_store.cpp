@@ -427,5 +427,22 @@ TEST_F(StoreTest, SamChunkRecordTotalMismatchThrowsFormatError) {
   EXPECT_THROW(store::load_sam_chunk(path("m.gpc")), ChunkFormatError);
 }
 
+TEST_F(StoreTest, SamChunkRecordLongerCigarThanSeqThrowsFormatError) {
+  // Checksums all match, but a record's CIGAR covers more bases than its
+  // SEQ holds: every Process would read past the sequence.
+  auto records = sample_records(3);
+  records[1].cigar = parse_cigar("100M");
+  store::save_sam_chunk(path("l.gpc"), sample_header(), records);
+  try {
+    store::load_sam_chunk(path("l.gpc"));
+    ADD_FAILURE() << "loaded a record whose CIGAR outruns its SEQ";
+  } catch (const ChunkFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "CIGAR covers 100 query bases but SEQ has 80"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace gpf
