@@ -7,7 +7,9 @@
 //       [--workers N]
 //
 // --json writes a machine-readable report (default
-// BENCH_backend_matrix.json) for the CI backend-matrix gate.
+// BENCH_backend_matrix.json) for the CI backend-matrix gate, including
+// the records every backend shuffled and the aligned record count, so CI
+// can bound how many times the pipeline moves each record.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,6 +33,7 @@ struct BackendRun {
   double wall_seconds = 0.0;
   std::string vcf;
   std::uint64_t shuffle_bytes = 0;
+  std::uint64_t shuffle_records = 0;
   std::uint64_t bytes_put = 0;
   std::uint64_t bytes_spilled = 0;
   std::uint64_t lineage_recoveries = 0;
@@ -54,6 +57,7 @@ BackendRun run_backend(exec::BackendSpec spec, exec::BackendKind kind,
   run.wall_seconds = timer.seconds();
   for (const auto& t : result.report.timings) {
     run.shuffle_bytes += t.shuffle_write_bytes;
+    run.shuffle_records += t.shuffle_records;
     run.bytes_put += t.backend.bytes_put;
     run.bytes_spilled += t.backend.bytes_spilled;
     run.lineage_recoveries += t.backend.lineage_recoveries;
@@ -128,18 +132,21 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    char buf[320];
-    out << "{\n  \"backends\": [\n";
+    char buf[384];
+    out << "{\n  \"aligned_records\": " << 2 * w.sample.pairs.size()
+        << ",\n  \"backends\": [\n";
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const BackendRun& r = runs[i];
       std::snprintf(
           buf, sizeof buf,
           "    {\"name\": \"%s\", \"wall_seconds\": %.3f, "
-          "\"shuffle_bytes\": %llu, \"bytes_put\": %llu, "
+          "\"shuffle_bytes\": %llu, \"shuffle_records\": %llu, "
+          "\"bytes_put\": %llu, "
           "\"bytes_spilled\": %llu, \"lineage_recoveries\": %llu, "
           "\"residency_evictions\": %llu, \"outputs_match\": %s}%s\n",
           r.name.c_str(), r.wall_seconds,
           static_cast<unsigned long long>(r.shuffle_bytes),
+          static_cast<unsigned long long>(r.shuffle_records),
           static_cast<unsigned long long>(r.bytes_put),
           static_cast<unsigned long long>(r.bytes_spilled),
           static_cast<unsigned long long>(r.lineage_recoveries),

@@ -105,21 +105,10 @@ int main() {
   // ---------------- (a) Mark Duplicate ---------------------------------
   std::vector<std::pair<std::string, sim::SimJob>> markdup_jobs;
   {
-    engine::Engine e;  // GPF
-    auto ds = e.parallelize(sam, 8).with_codec(
-        core::make_sam_codec(Codec::kGpf));
-    auto shuffled =
-        ds.shuffle("gpf.markdup.shuffle", 16, [](const SamRecord& rec) {
-          const auto sig = cleaner::fragment_signature(rec);
-          return static_cast<std::uint64_t>(sig.contig_id) * 1000003ULL +
-                 static_cast<std::uint64_t>(sig.unclipped_start);
-        });
-    shuffled.map_partitions<SamRecord>(
-        "gpf.markdup.mark", [](const std::vector<SamRecord>& part) {
-          std::vector<SamRecord> out = part;
-          cleaner::mark_duplicates(out);
-          return out;
-        });
+    engine::Engine e;  // GPF: the routine MarkDuplicateProcess runs
+    core::PipelineContext ctx(e, workload.reference, config);
+    cleaner::MarkDuplicatesStats stats;
+    core::mark_duplicates(ctx, e.parallelize(sam, 8), "gpf.markdup", stats);
     markdup_jobs.emplace_back("GPF", scaled(e.metrics(), scale));
   }
   {

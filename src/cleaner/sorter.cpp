@@ -16,6 +16,14 @@ bool is_coordinate_sorted(const std::vector<SamRecord>& records) {
   return true;
 }
 
+const std::vector<SamRecord>& coordinate_sorted(
+    const std::vector<SamRecord>& records, std::vector<SamRecord>& scratch) {
+  if (is_coordinate_sorted(records)) return records;
+  scratch = records;
+  coordinate_sort(scratch);
+  return scratch;
+}
+
 std::vector<SamRecord> merge_sorted_runs(
     std::vector<std::vector<SamRecord>> runs) {
   // K-way merge with a heap of (run, index) cursors.

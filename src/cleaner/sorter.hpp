@@ -15,6 +15,11 @@ void coordinate_sort(std::vector<SamRecord>& records);
 /// Verifies coordinate order (used as a pipeline invariant check).
 bool is_coordinate_sorted(const std::vector<SamRecord>& records);
 
+/// `records` itself when it is coordinate-sorted; otherwise a sorted copy
+/// in `scratch`.  coordinate_sort is stable, so both are the same sequence.
+const std::vector<SamRecord>& coordinate_sorted(
+    const std::vector<SamRecord>& records, std::vector<SamRecord>& scratch);
+
 /// Merges already-sorted runs into one sorted vector (the reduce side of a
 /// distributed sort).
 std::vector<SamRecord> merge_sorted_runs(

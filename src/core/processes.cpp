@@ -1,8 +1,6 @@
 #include "core/processes.hpp"
 
 #include <algorithm>
-#include <mutex>
-#include <numeric>
 
 #include "caller/haplotype_caller.hpp"
 #include "cleaner/indel_realign.hpp"
@@ -133,8 +131,12 @@ engine::ShuffleCodec<RegionBundle> make_bundle_codec(Codec codec) {
   };
 }
 
-/// Partition function for mapped records; unmapped reads ride along in the
-/// partition of their mate position (or 0).
+engine::ShuffleCodec<cleaner::DupKey> make_dup_key_codec() {
+  return {cleaner::encode_dup_keys, cleaner::decode_dup_keys};
+}
+
+}  // namespace
+
 std::uint32_t record_partition(const SamRecord& rec,
                                const PartitionInfo& info) {
   if (rec.contig_id >= 0) return info.partition_of(rec.contig_id, rec.pos);
@@ -143,8 +145,6 @@ std::uint32_t record_partition(const SamRecord& rec,
   }
   return 0;
 }
-
-}  // namespace
 
 engine::ShuffleCodec<FastqPair> make_fastq_pair_codec(Codec codec) {
   return {
@@ -319,42 +319,88 @@ MarkDuplicateProcess::MarkDuplicateProcess(std::string name, SamBundle* input,
       output_(output) {}
 
 void MarkDuplicateProcess::run(PipelineContext& ctx) {
-  // Duplicates share a fragment signature, so routing by signature hash
-  // keeps every signature group within one partition.
-  const std::size_t n_out =
-      std::max<std::size_t>(ctx.engine().pool().size() * 2,
-                            input_->get().partition_count());
-  auto shuffled = input_->get().shuffle(
-      "cleaner.markdup.shuffle", n_out, [](const SamRecord& rec) {
-        const auto sig = cleaner::fragment_signature(rec);
-        std::uint64_t h = 0xcbf29ce484222325ULL;
-        auto mixin = [&h](std::uint64_t v) {
-          h ^= v;
-          h *= 0x100000001b3ULL;
-        };
-        mixin(static_cast<std::uint64_t>(sig.contig_id));
-        mixin(static_cast<std::uint64_t>(sig.unclipped_start));
-        mixin(static_cast<std::uint64_t>(sig.mate_contig_id));
-        mixin(static_cast<std::uint64_t>(sig.mate_pos));
-        return h;
+  output_->set(mark_duplicates(ctx, input_->get(), "cleaner.markdup", stats_));
+}
+
+engine::Dataset<SamRecord> mark_duplicates(
+    PipelineContext& ctx, const engine::Dataset<SamRecord>& sam,
+    const std::string& stage_prefix, cleaner::MarkDuplicatesStats& stats) {
+  // One key per mapped primary record, naming the record by its partition
+  // and index.  Records stay where they are.
+  auto keys =
+      sam.map_partitions_indexed<cleaner::DupKey>(
+             stage_prefix + ".keys",
+             [](std::size_t pid, const std::vector<SamRecord>& part) {
+               std::vector<cleaner::DupKey> out;
+               out.reserve(part.size());
+               for (std::size_t i = 0; i < part.size(); ++i) {
+                 if (cleaner::is_duplicate_candidate(part[i])) {
+                   out.push_back(cleaner::dup_key(
+                       part[i], static_cast<std::uint32_t>(pid), i));
+                 }
+               }
+               return out;
+             })
+          .with_codec(make_dup_key_codec());
+
+  // Routing by signature hash keeps every signature group within one key
+  // partition.  The shuffle takes source partitions in order, so a group's
+  // keys arrive in the records' dataset order, and decide_duplicates breaks
+  // ties exactly as one cleaner::mark_duplicates call over sam.collect().
+  const std::size_t n_keys =
+      std::max<std::size_t>(sam.engine().pool().size() * 2,
+                            sam.partition_count());
+  auto routed = keys.shuffle(stage_prefix + ".shuffle", n_keys,
+                             [](const cleaner::DupKey& k) {
+                               return cleaner::signature_hash(k.signature);
+                             });
+
+  struct Decision {
+    std::size_t signature_groups = 0;
+    /// (partition, index) of every duplicate.
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> marked;
+  };
+  auto decided = routed.map_partitions<Decision>(
+      stage_prefix + ".mark", [](const std::vector<cleaner::DupKey>& part) {
+        std::vector<std::size_t> marked;
+        Decision d;
+        d.signature_groups = cleaner::decide_duplicates(part, marked);
+        d.marked.reserve(marked.size());
+        for (const std::size_t k : marked) {
+          d.marked.emplace_back(part[k].partition, part[k].index);
+        }
+        return std::vector<Decision>{std::move(d)};
       });
 
-  std::mutex stats_mu;
-  stats_ = {};
-  auto marked = shuffled.map_partitions<SamRecord>(
-      "cleaner.markdup.mark",
-      [this, &stats_mu](const std::vector<SamRecord>& part) {
+  // Collect: bucket the marked positions by record partition on the driver.
+  Timer collect_timer;
+  stats = {};
+  stats.records = sam.count();
+  std::vector<std::vector<std::uint64_t>> marked(sam.partition_count());
+  for (const auto& part : decided.partitions()) {
+    for (const Decision& d : part) {
+      stats.signature_groups += d.signature_groups;
+      stats.duplicates_marked += d.marked.size();
+      for (const auto& [pid, index] : d.marked) marked[pid].push_back(index);
+    }
+  }
+  record_stage(ctx, stage_prefix + ".collect", collect_timer.seconds(), 0,
+               stats.duplicates_marked * sizeof(std::uint64_t));
+
+  // Apply: a narrow stage over the input partitions.
+  auto applied = sam.map_partitions_indexed<SamRecord>(
+      stage_prefix + ".apply",
+      [&marked](std::size_t pid, const std::vector<SamRecord>& part) {
         std::vector<SamRecord> out = part;
-        const auto s = cleaner::mark_duplicates(out);
-        {
-          std::lock_guard lock(stats_mu);
-          stats_.records += s.records;
-          stats_.duplicates_marked += s.duplicates_marked;
-          stats_.signature_groups += s.signature_groups;
+        for (SamRecord& rec : out) {
+          rec.flag &= static_cast<std::uint16_t>(~SamFlags::kDuplicate);
+        }
+        for (const std::uint64_t i : marked[pid]) {
+          out[i].flag |= SamFlags::kDuplicate;
         }
         return out;
       });
-  output_->set(marked.with_codec(make_sam_codec(ctx.config().codec)));
+  return applied.with_codec(make_sam_codec(ctx.config().codec));
 }
 
 // --- region bundle construction ----------------------------------------------
@@ -366,12 +412,29 @@ engine::Dataset<RegionBundle> build_region_bundles(
   const std::size_t n_out = info.partition_count();
   const Codec codec = ctx.config().codec;
 
-  // Shuffle 1: SAM records grouped by partition id.
-  auto sam_parts = sam.with_codec(make_sam_codec(codec))
-                       .shuffle(stage_prefix + ".sam_groupby", n_out,
-                                [&info](const SamRecord& rec) {
-                                  return record_partition(rec, info);
-                                });
+  // Shuffle 1: SAM records grouped by partition id.  Sort already routes
+  // by record_partition into these partitions, and flatten_bundles keeps
+  // each read in its bundle's partition.  When every record already sits
+  // where the shuffle would send it, the shuffle would return its input
+  // unchanged (it concatenates source partitions in order, and the codec
+  // round trip is lossless), so the partitions go to the join directly.
+  const auto already_routed = [&] {
+    if (sam.partition_count() != n_out) return false;
+    for (std::uint32_t pid = 0; pid < n_out; ++pid) {
+      for (const SamRecord& rec : sam.partitions()[pid]) {
+        if (record_partition(rec, info) != pid) return false;
+      }
+    }
+    return true;
+  };
+  const engine::Dataset<SamRecord> sam_parts =
+      already_routed()
+          ? sam
+          : sam.with_codec(make_sam_codec(codec))
+                .shuffle(stage_prefix + ".sam_groupby", n_out,
+                         [&info](const SamRecord& rec) {
+                           return record_partition(rec, info);
+                         });
 
   // Shuffle 2: FASTA partition RDD — reference slices routed to their
   // partition (paper Fig 7's "groupBy partition ID" over FASTA contigs).
@@ -418,7 +481,9 @@ engine::Dataset<RegionBundle> build_region_bundles(
         }
         bundle.partition_id = static_cast<std::uint32_t>(pid);
         bundle.sam = sam_part;
-        cleaner::coordinate_sort(bundle.sam);
+        if (!cleaner::is_coordinate_sorted(bundle.sam)) {
+          cleaner::coordinate_sort(bundle.sam);
+        }
         bundle.known = vcf_partitions[pid];
         std::sort(bundle.known.begin(), bundle.known.end(), vcf_less);
         std::vector<RegionBundle> out;
@@ -582,8 +647,8 @@ void HaplotypeCallerProcess::run(PipelineContext& ctx) {
   if (!use_gvcf_) {
     auto variants = bundles.flat_map(
         "caller.hc.call", [&reference](const RegionBundle& in) {
-          std::vector<SamRecord> sorted = in.sam;
-          cleaner::coordinate_sort(sorted);
+          std::vector<SamRecord> scratch;
+          const auto& sorted = cleaner::coordinate_sorted(in.sam, scratch);
           const caller::CallerOptions options;
           return caller::call_variants(sorted, reference, options);
         });
@@ -597,8 +662,8 @@ void HaplotypeCallerProcess::run(PipelineContext& ctx) {
       std::pair<std::vector<VcfRecord>, std::vector<caller::GvcfBlock>>;
   auto results = bundles.map(
       "caller.hc.call_gvcf", [&reference](const RegionBundle& in) {
-        std::vector<SamRecord> sorted = in.sam;
-        cleaner::coordinate_sort(sorted);
+        std::vector<SamRecord> scratch;
+        const auto& sorted = cleaner::coordinate_sorted(in.sam, scratch);
         const caller::CallerOptions options;
         RegionResult result;
         result.first = caller::call_variants(sorted, reference, options);

@@ -105,7 +105,8 @@ class MarkDuplicateProcess final : public Process {
  public:
   MarkDuplicateProcess(std::string name, SamBundle* input, SamBundle* output);
 
-  /// Groups read pairs by alignment signature: a record-level shuffle.
+  /// Groups read pairs by alignment signature: a shuffle of compact keys
+  /// (the records stay in Sort's partitions; see mark_duplicates below).
   bool has_wide_dependency() const override { return true; }
 
   /// Stats from the last run (for tests/benches).
@@ -209,8 +210,28 @@ engine::ShuffleCodec<FastqPair> make_fastq_pair_codec(Codec codec);
 engine::ShuffleCodec<SamRecord> make_sam_codec(Codec codec);
 engine::ShuffleCodec<VcfRecord> make_vcf_codec(Codec codec);
 
+/// The partition Sort and the region-bundle join route a record to: its
+/// own position when mapped; unmapped reads ride along in the partition of
+/// their mate position (or 0).
+std::uint32_t record_partition(const SamRecord& rec,
+                               const PartitionInfo& info);
+
+/// MarkDuplicateProcess's routine: exact duplicate marking that moves keys,
+/// not records.  Builds one cleaner::DupKey per mapped primary record,
+/// shuffles the keys by signature hash, decides each key partition with
+/// cleaner::decide_duplicates, collects the marked (partition, index)
+/// pairs on the driver, and applies them in a narrow stage.  The result
+/// keeps `sam`'s partitioning and order; its flags equal one
+/// cleaner::mark_duplicates call over sam.collect(), as do `stats`.
+engine::Dataset<SamRecord> mark_duplicates(
+    PipelineContext& ctx, const engine::Dataset<SamRecord>& sam,
+    const std::string& stage_prefix, cleaner::MarkDuplicatesStats& stats);
+
 /// Builds the region-bundle dataset for a partition Process in unfused
 /// mode: three shuffles plus the join (exposed for tests and ablations).
+/// The SAM shuffle is skipped when every record already sits in its
+/// record_partition (Sort's output, or a flattened bundle dataset whose
+/// reads did not move).
 engine::Dataset<RegionBundle> build_region_bundles(
     PipelineContext& ctx, const engine::Dataset<SamRecord>& sam,
     const engine::Dataset<VcfRecord>& known, const PartitionInfo& info,

@@ -129,6 +129,8 @@ struct RegionBundle {
   std::string ref_bases;
   std::vector<SamRecord> sam;
   std::vector<VcfRecord> known;
+
+  bool operator==(const RegionBundle&) const = default;
 };
 
 using FastqPairBundle = BundleResource<FastqPair>;

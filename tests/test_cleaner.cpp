@@ -807,5 +807,84 @@ TEST(MarkDup, PreexistingFlagsCleared) {
   EXPECT_FALSE(records[0].is_duplicate());
 }
 
+TEST(MarkDup, EqualScoresKeepTheFirstArrival) {
+  // The tie-break the key exchange must reproduce: among equal best scores
+  // the first record in dataset order wins.
+  std::vector<SamRecord> records = {make_record("b", 0, 100),
+                                    make_record("a", 0, 100),
+                                    make_record("c", 0, 100)};
+  mark_duplicates(records);
+  EXPECT_FALSE(records[0].is_duplicate());
+  EXPECT_TRUE(records[1].is_duplicate());
+  EXPECT_TRUE(records[2].is_duplicate());
+}
+
+TEST(MarkDup, DecideReportsKeyPositions) {
+  std::vector<DupKey> keys = {
+      dup_key(make_record("x", 0, 100), 3, 7),
+      dup_key(make_record("y", 0, 500), 3, 9),
+      dup_key(make_record("z", 0, 100), 5, 0),
+  };
+  keys[2].score = keys[0].score + 1;  // z wins its group
+  std::vector<std::size_t> marked;
+  EXPECT_EQ(decide_duplicates(keys, marked), 2u);
+  EXPECT_EQ(marked, std::vector<std::size_t>{0});
+}
+
+// --- duplicate-key codec ------------------------------------------------------
+
+std::vector<DupKey> sample_dup_keys() {
+  std::vector<DupKey> keys;
+  DupKey k;
+  k.signature = {0, -12, true, 0, 4'000'000'000LL, false};
+  k.score = 1234;
+  k.qname = "read:1/frag";
+  k.partition = 7;
+  k.index = 3;
+  keys.push_back(k);
+  k.signature = {2, 150, false, -1, -1, false};
+  k.score = 0;
+  k.qname = "";
+  k.partition = 0;  // partitions and indices need not ascend
+  k.index = 1ULL << 40;
+  keys.push_back(k);
+  k.signature = {1, 99, true, 1, 98, true};
+  k.score = 7;
+  k.qname = std::string(300, 'q');
+  k.partition = UINT32_MAX;
+  k.index = 0;
+  keys.push_back(k);
+  return keys;
+}
+
+TEST(DupKeyCodec, RoundTrip) {
+  const auto keys = sample_dup_keys();
+  std::vector<std::uint8_t> bytes = {0xff, 0xff};  // encode clears first
+  encode_dup_keys(keys, bytes);
+  EXPECT_EQ(decode_dup_keys(bytes), keys);
+  encode_dup_keys({}, bytes);
+  EXPECT_TRUE(decode_dup_keys(bytes).empty());
+}
+
+TEST(DupKeyCodec, MalformedInputThrows) {
+  std::vector<std::uint8_t> bytes;
+  encode_dup_keys(sample_dup_keys(), bytes);
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    const std::span<const std::uint8_t> cut(bytes.data(), n);
+    EXPECT_ANY_THROW(decode_dup_keys(cut)) << "truncated to " << n;
+  }
+  auto trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_THROW(decode_dup_keys(trailing), std::invalid_argument);
+  auto bad_magic = bytes;
+  bad_magic[0] ^= 1;
+  EXPECT_THROW(decode_dup_keys(bad_magic), std::invalid_argument);
+  // A huge count fails before any allocation.
+  std::vector<std::uint8_t> huge(bytes.begin(), bytes.begin() + 4);
+  for (int i = 0; i < 6; ++i) huge.push_back(0xff);
+  huge.push_back(0x01);
+  EXPECT_THROW(decode_dup_keys(huge), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace gpf::cleaner

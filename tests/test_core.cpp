@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "cleaner/sorter.hpp"
 #include "common/checksum.hpp"
 #include "common/simd.hpp"
 #include "core/partition_info.hpp"
@@ -438,6 +439,64 @@ TEST_F(WgsFixture, VcfDigestGolden) {
       << result.variants.size() << " calls, level "
       << simd::level_name(simd::active_level()) << ", digest 0x" << std::hex
       << digest;
+}
+
+TEST_F(WgsFixture, RegionBundlesSkipTheIdentityRegroup) {
+  engine::Engine engine({.worker_threads = 2});
+  PipelineConfig config;
+  config.partition_length = 20'000;
+  auto& w = workload();
+  PipelineContext ctx(engine, w.reference, config);
+  const std::vector<FastqPair> pairs(w.sample.pairs.begin(),
+                                     w.sample.pairs.begin() + 3'000);
+  std::vector<SamRecord> records;
+  ctx.aligner().align_pairs(pairs, records);
+  const PartitionInfo info(ctx.contig_infos(), config.partition_length);
+  ASSERT_GT(info.partition_count(), 2u);
+
+  // Sort's partitioning: routed by record_partition, each one sorted.
+  std::vector<std::vector<SamRecord>> routed(info.partition_count());
+  for (const auto& r : records) routed[record_partition(r, info)].push_back(r);
+  for (auto& part : routed) cleaner::coordinate_sort(part);
+  const auto known =
+      engine.parallelize(w.truth, 2).with_codec(make_vcf_codec(config.codec));
+
+  // Builds the bundles and reports whether the SAM shuffle ran.
+  const auto build = [&](std::vector<std::vector<SamRecord>> parts,
+                         const std::string& prefix, bool& regrouped) {
+    const std::size_t before = engine.metrics().stage_count();
+    const auto sam = engine.make_dataset(std::move(parts))
+                         .with_codec(make_sam_codec(config.codec));
+    auto bundles = build_region_bundles(ctx, sam, known, info, prefix)
+                       .collect();
+    regrouped = false;
+    const auto& stages = engine.metrics().stages();
+    for (std::size_t k = before; k < stages.size(); ++k) {
+      regrouped = regrouped || stages[k].name == prefix + ".sam_groupby";
+    }
+    return bundles;
+  };
+
+  bool regrouped = true;
+  const auto direct = build(routed, "direct", regrouped);
+  EXPECT_FALSE(regrouped);
+  ASSERT_EQ(direct.size(), info.partition_count());
+
+  EXPECT_EQ(build({records}, "one_partition", regrouped), direct);
+  EXPECT_TRUE(regrouped);
+
+  // One record in the wrong partition: the shuffle must run and put it back.
+  auto misrouted = routed;
+  const auto from = static_cast<std::size_t>(
+      std::find_if(misrouted.begin(), misrouted.end(),
+                   [](const auto& p) { return !p.empty(); }) -
+      misrouted.begin());
+  ASSERT_LT(from + 1, misrouted.size());
+  auto& to = misrouted[from + 1];
+  to.insert(to.begin(), misrouted[from].back());
+  misrouted[from].pop_back();
+  EXPECT_EQ(build(misrouted, "misrouted", regrouped), direct);
+  EXPECT_TRUE(regrouped);
 }
 
 TEST_F(WgsFixture, GvcfModeEmitsReferenceBlocks) {

@@ -7,12 +7,17 @@
 
 #include <atomic>
 #include <csignal>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "cleaner/markdup.hpp"
 #include "core/backend.hpp"
 #include "core/pipeline.hpp"
+#include "core/processes.hpp"
 #include "core/resource.hpp"
 #include "core/wgs_pipeline.hpp"
 #include "engine/fault_injector.hpp"
@@ -333,6 +338,140 @@ TEST_F(BackendFixture, AllBackendsBitIdenticalUnderFaultInjection) {
     EXPECT_GT(backend->engine().metrics().total_injected_faults(), 0u)
         << "backend: " << backend->name();
   }
+}
+
+// --- duplicate marking across Sort partitions ------------------------------
+
+struct MarkdupRun {
+  std::vector<SamRecord> sorted;
+  std::vector<std::vector<SamRecord>> sorted_partitions;
+  std::vector<SamRecord> marked;
+  cleaner::MarkDuplicatesStats stats;
+};
+
+/// A duplicate-rich sample with a noisy quality profile.  Mates never
+/// share a signature group (one end's signature holds the other's
+/// leftmost position, not its unclipped start), so a group straddles
+/// Sort's partitions only where its reads are clipped differently; such
+/// groups are rare, and this sample has a few of them at 300 bp partitions.
+const simdata::Workload& straddle_workload() {
+  static const simdata::Workload w = [] {
+    simdata::ReadSimSpec spec;
+    spec.coverage = 30.0;
+    spec.duplicate_fraction = 0.3;
+    spec.quality = simdata::QualityProfile::srr504516();
+    spec.seed = 401;
+    simdata::VariantSpec vspec;
+    vspec.snp_rate = 0.0008;
+    vspec.seed = 403;
+    return simdata::make_workload(20'000, 1, spec, vspec);
+  }();
+  return w;
+}
+
+/// Align, repartition, sort and mark duplicates on `backend`.
+MarkdupRun run_markdup(core::ExecutionBackend& backend,
+                       const simdata::Workload& w) {
+  core::PipelineConfig config;
+  config.partition_length = 300;
+  config.fastq_partitions = 8;
+  core::Pipeline p("markdup", backend, w.reference, config);
+  auto* fastq =
+      p.add_resource(core::FastqPairBundle::make_undefined("fastqPair"));
+  auto* aligned = p.add_resource(core::SamBundle::make_undefined("aligned"));
+  auto* info = p.add_resource(
+      core::PartitionInfoResource::make_undefined("partitionInfo"));
+  auto* sorted = p.add_resource(core::SamBundle::make_undefined("sorted"));
+  auto* deduped = p.add_resource(core::SamBundle::make_undefined("deduped"));
+  p.add_process(std::make_unique<core::LoadFastqProcess>(
+      "LoadFastq", w.sample.pairs, fastq));
+  p.add_process(
+      std::make_unique<core::BwaMemProcess>("MyBwaMapping", fastq, aligned));
+  p.add_process(std::make_unique<core::ReadRepartitioner>(
+      "MyRepartitioner", aligned, info));
+  p.add_process(std::make_unique<core::SortProcess>("MySort", aligned, info,
+                                                    sorted));
+  auto* markdup = p.add_process(std::make_unique<core::MarkDuplicateProcess>(
+      "MyMarkDuplicate", sorted, deduped));
+  p.run();
+  return {sorted->get().collect(), sorted->get().partitions(),
+          deduped->get().collect(), markdup->stats()};
+}
+
+/// Signature groups with two or more fragments whose records lie in more
+/// than one Sort partition: marking each partition on its own decides
+/// these wrongly.
+std::size_t straddling_duplicate_groups(
+    const std::vector<std::vector<SamRecord>>& partitions) {
+  struct Group {
+    std::set<std::size_t> partitions;
+    std::set<std::string> fragments;
+  };
+  std::map<std::tuple<std::int32_t, std::int64_t, bool, std::int32_t,
+                      std::int64_t, bool>,
+           Group>
+      groups;
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    for (const SamRecord& rec : partitions[p]) {
+      if (!cleaner::is_duplicate_candidate(rec)) continue;
+      const auto s = cleaner::fragment_signature(rec);
+      Group& g = groups[{s.contig_id, s.unclipped_start, s.reverse,
+                         s.mate_contig_id, s.mate_pos, s.mate_reverse}];
+      g.partitions.insert(p);
+      g.fragments.insert(rec.qname);
+    }
+  }
+  std::size_t n = 0;
+  for (const auto& [sig, g] : groups) {
+    if (g.partitions.size() > 1 && g.fragments.size() > 1) ++n;
+  }
+  return n;
+}
+
+TEST_F(BackendFixture, DuplicateFlagsEqualOneWholeSetCallOnEveryBackend) {
+  // Every record's flag and the stats must equal one mark_duplicates call
+  // over Sort's whole output in dataset order, on every backend and under
+  // task retries.
+  std::vector<std::unique_ptr<core::ExecutionBackend>> backends;
+  for (const auto& kind : {exec::BackendKind::kInProcess,
+                           exec::BackendKind::kSpill,
+                           exec::BackendKind::kDistributed,
+                           exec::BackendKind::kInProcess}) {
+    exec::BackendSpec spec;
+    spec.kind = kind;
+    spec.engine = {.worker_threads = 4};
+    spec.workers = 2;
+    spec.worker_binary = distributed_worker_binary();
+    backends.push_back(exec::make_backend(spec));
+  }
+  // The last run retries failed tasks and corrupted blocks.
+  backends.back()->engine().set_fault_injector(
+      std::make_shared<engine::FaultInjector>(
+          1791, std::vector<engine::FaultRule>{
+                    engine::FaultRule::fail_random("", 0.2, 1),
+                    engine::FaultRule::corrupt_block("", engine::kAnyTask,
+                                                     engine::kAnyTask, 1)}));
+
+  for (const auto& backend : backends) {
+    const MarkdupRun run = run_markdup(*backend, straddle_workload());
+    SCOPED_TRACE("backend " + backend->name());
+    EXPECT_GT(straddling_duplicate_groups(run.sorted_partitions), 0u);
+
+    std::vector<SamRecord> expected = run.sorted;
+    const cleaner::MarkDuplicatesStats stats =
+        cleaner::mark_duplicates(expected);
+    ASSERT_GT(stats.duplicates_marked, 0u);
+    EXPECT_EQ(run.stats.records, stats.records);
+    EXPECT_EQ(run.stats.duplicates_marked, stats.duplicates_marked);
+    EXPECT_EQ(run.stats.signature_groups, stats.signature_groups);
+    ASSERT_EQ(run.marked.size(), expected.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      differing += run.marked[i] == expected[i] ? 0 : 1;
+    }
+    EXPECT_EQ(differing, 0u);
+  }
+  EXPECT_GT(backends.back()->engine().metrics().total_injected_faults(), 0u);
 }
 
 }  // namespace
