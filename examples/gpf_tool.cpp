@@ -23,8 +23,10 @@
 // A .gpc file is a checksummed chunk (store/sam_chunk); any other name is
 // SAM text.
 //
-// A numeric argument that is empty, has trailing junk, is not positive or
-// is out of range exits with status 2 and a "gpf_tool: bad ..." message.  A
+// A numeric argument that is empty, has trailing junk, is not positive
+// (--store-budget may be 0) or is out of range (--workers at most 256),
+// or a backend flag value with a sign, exits with status 2 and a
+// "gpf_tool: bad ..." message, as does an unknown --backend.  A
 // missing, malformed, torn or damaged input file exits with status 1 and a
 // "gpf_tool: <reason>" message.
 #include <charconv>
@@ -341,7 +343,7 @@ int main(int argc, char** argv) {
   try {
     exec::consume_backend_flags(argc, argv, backend_spec);
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
+    std::fprintf(stderr, "gpf_tool: %s\n", e.what());
     return 2;
   }
   if (argc < 2) {

@@ -1,8 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
 namespace gpf {
 
@@ -10,21 +8,15 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  const char* force = std::getenv("GPF_FORCE_STEAL");
-  force_steal_ = force != nullptr && *force != '\0' && *force != '0';
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard lock(sleep_mu_);
+    std::lock_guard lock(mu_);
     stop_ = true;
   }
   cv_.notify_all();
@@ -36,73 +28,19 @@ ThreadPool*& ThreadPool::current_pool() {
   return pool;
 }
 
-std::size_t& ThreadPool::current_worker() {
-  static thread_local std::size_t index = 0;
-  return index;
-}
-
-void ThreadPool::push_task(std::function<void()> task) {
-  std::size_t target;
-  if (on_worker_thread()) {
-    // Worker-spawned work stays local: the owner pops it LIFO while it is
-    // cache-hot, idle workers steal it FIFO if the owner is busy.
-    target = current_worker();
-  } else {
-    target = next_queue_.fetch_add(1) % queues_.size();
-  }
-  {
-    std::lock_guard lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  // The empty critical section orders the pending_ increment against a
-  // sleeper's predicate check: a worker that saw pending_ == 0 under
-  // sleep_mu_ is guaranteed to be waiting by the time notify_one fires,
-  // so the wakeup cannot be lost.
-  { std::lock_guard lock(sleep_mu_); }
-  cv_.notify_one();
-}
-
-bool ThreadPool::try_run_one(std::size_t self) {
-  std::function<void()> task;
-  auto pop_own = [&] {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard lock(q.mu);
-    if (q.tasks.empty()) return false;
-    task = std::move(q.tasks.back());
-    q.tasks.pop_back();
-    return true;
-  };
-  auto steal = [&] {
-    for (std::size_t off = 1; off < queues_.size(); ++off) {
-      WorkerQueue& q = *queues_[(self + off) % queues_.size()];
-      std::lock_guard lock(q.mu);
-      if (q.tasks.empty()) continue;
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
-    }
-    return false;
-  };
-  bool got = force_steal_ ? (steal() || pop_own()) : (pop_own() || steal());
-  if (!got) return false;
-  pending_.fetch_sub(1, std::memory_order_acquire);
-  task();
-  return true;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   current_pool() = this;
-  current_worker() = self;
   for (;;) {
-    while (try_run_one(self)) {
+    std::function<void()> task;
+    {
+      std::unique_lock lock(mu_);
+      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      // Stopping still drains: a worker leaves only once the list is empty.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.back());
+      tasks_.pop_back();
     }
-    std::unique_lock lock(sleep_mu_);
-    if (pending_.load(std::memory_order_acquire) > 0) continue;
-    if (stop_) return;
-    cv_.wait(lock, [this] {
-      return stop_ || pending_.load(std::memory_order_acquire) > 0;
-    });
+    task();
   }
 }
 

@@ -1,19 +1,16 @@
-// Fixed-size work-stealing thread pool used by the execution engine.
+// Fixed-size thread pool used by the execution engine.
 //
-// Each worker owns a deque: tasks submitted from a worker go to its own
-// deque and are popped LIFO (newest first, cache-hot); tasks submitted
-// from outside the pool are distributed round-robin.  An idle worker
-// steals FIFO from the other deques (oldest first), so a skewed stage —
-// one queue stacked with heavy tasks — drains across all cores instead of
-// serializing behind its owner.  The pool stays allocation-light: it is
-// the substrate every other module builds on, so predictability beats
-// cleverness here.
+// One task list, one mutex, one condition variable.  Load balance is the
+// read-count repartition's job (PartitionInfo::apply_split), not the
+// pool's: every task reaches the pool from outside it (execute_stage and
+// parallel_for submit from the calling thread; a nested parallel_for runs
+// inline), so one shared list keeps every worker busy.  The pool stays
+// allocation-light: it is the substrate every other module builds on, so
+// predictability beats cleverness here.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -23,19 +20,15 @@
 
 namespace gpf {
 
-/// A fixed-size pool of worker threads with per-worker deques and work
-/// stealing.  Tasks on one deque run newest-first for their owner and are
-/// stolen oldest-first by idle workers; there is no global FIFO order
-/// across deques (the engine never depends on submission order).
+/// A fixed-size pool of worker threads sharing one task list.  An idle
+/// worker takes the newest queued task, so a burst of submissions starts
+/// with its last task; the engine never depends on start order.
 ///
 /// Thread-safe: submit() may be called concurrently from any thread,
 /// including from inside a task (tasks must not block on tasks that cannot
 /// be scheduled, but the engine only submits leaf work so this cannot
-/// deadlock).
-///
-/// Setting GPF_FORCE_STEAL=1 in the environment (read at construction)
-/// makes every worker try to steal before touching its own deque —
-/// maximum cross-thread traffic, used by CI to stress the stealing path.
+/// deadlock).  The destructor runs every queued task before it joins the
+/// workers.
 class ThreadPool {
  public:
   /// Creates a pool with `threads` workers (defaults to hardware
@@ -56,7 +49,11 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
     std::future<R> fut = task->get_future();
-    push_task([task] { (*task)(); });
+    {
+      std::lock_guard lock(mu_);
+      tasks_.emplace_back([task] { (*task)(); });
+    }
+    cv_.notify_one();
     return fut;
   }
 
@@ -79,38 +76,18 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  /// One worker's deque.  A plain mutex per deque keeps the code obvious;
-  /// engine tasks are whole partitions (or record ranges), coarse enough
-  /// that the lock never sees real contention.
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  void worker_loop(std::size_t self);
-  /// Pops and runs one task (own deque LIFO, then steal FIFO); false when
-  /// every deque was empty.
-  bool try_run_one(std::size_t self);
-  /// Routes a task to a deque (own deque on workers, round-robin outside)
-  /// and wakes a sleeper.
-  void push_task(std::function<void()> task);
+  void worker_loop();
 
   /// The pool whose worker_loop the calling thread is running, if any.
   static ThreadPool*& current_pool();
-  /// The calling worker's index within current_pool() (0 outside).
-  static std::size_t& current_worker();
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  /// Tasks pushed but not yet taken, across all deques.  The release/
-  /// acquire pairing with sleep_mu_ is what makes the sleep path lossless.
-  std::atomic<std::size_t> pending_{0};
-  /// Round-robin cursor for external submissions.
-  std::atomic<std::size_t> next_queue_{0};
-  std::mutex sleep_mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-  bool stop_ = false;  // guarded by sleep_mu_
-  bool force_steal_ = false;
+  /// Queued tasks, newest at the back.  Guarded by mu_.
+  std::vector<std::function<void()>> tasks_;
+  bool stop_ = false;  // guarded by mu_
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace gpf

@@ -1,6 +1,6 @@
 #include "exec/backend_factory.hpp"
 
-#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "exec/distributed_backend.hpp"
@@ -9,18 +9,27 @@
 namespace gpf::exec {
 namespace {
 
+/// Parses a flag's unsigned decimal value in [min, max].  Digits only:
+/// std::stoull alone would take a sign and wrap "-1" to a huge count.
 unsigned long long parse_number(const std::string& flag,
-                                const std::string& value) {
-  std::size_t used = 0;
+                                const std::string& value,
+                                unsigned long long min,
+                                unsigned long long max) {
+  bool ok = !value.empty() &&
+            value.find_first_not_of("0123456789") == std::string::npos;
   unsigned long long parsed = 0;
-  try {
-    parsed = std::stoull(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
+  if (ok) {
+    try {
+      parsed = std::stoull(value);
+    } catch (const std::out_of_range&) {
+      ok = false;
+    }
   }
-  if (used != value.size() || value.empty()) {
-    throw std::invalid_argument(flag + ": expected a number, got '" + value +
-                                "'");
+  if (!ok || parsed < min || parsed > max) {
+    const std::string range =
+        std::to_string(min) + " <= " + flag + " <= " + std::to_string(max);
+    throw std::invalid_argument("bad " + flag + " '" + value + "' (want " +
+                                range + ")");
   }
   return parsed;
 }
@@ -32,8 +41,7 @@ BackendKind parse_backend_kind(const std::string& name) {
   if (name == "spill") return BackendKind::kSpill;
   if (name == "distributed") return BackendKind::kDistributed;
   throw std::invalid_argument(
-      "unknown backend '" + name +
-      "' (expected inprocess, spill, or distributed)");
+      "bad --backend '" + name + "' (want inprocess, spill, or distributed)");
 }
 
 const std::string& backend_kind_name(BackendKind kind) {
@@ -95,17 +103,19 @@ void consume_backend_flags(int& argc, char** argv, BackendSpec& spec) {
     }
     if (!has_value) {
       if (i + 1 >= argc) {
-        throw std::invalid_argument(flag + ": missing value");
+        throw std::invalid_argument("bad " + flag + " (missing value)");
       }
       value = argv[++i];
     }
     if (flag == "--backend") {
       spec.kind = parse_backend_kind(value);
     } else if (flag == "--store-budget") {
-      spec.store_budget = static_cast<std::size_t>(
-          parse_number(flag, value));
+      constexpr auto kMaxBytes = std::numeric_limits<std::size_t>::max();
+      const auto bytes = parse_number(flag, value, 0, kMaxBytes);
+      spec.store_budget = static_cast<std::size_t>(bytes);
     } else {
-      spec.workers = static_cast<int>(parse_number(flag, value));
+      spec.workers =
+          static_cast<int>(parse_number(flag, value, 1, kMaxWorkers));
     }
   }
   argc = out;

@@ -13,6 +13,10 @@ namespace gpf::exec {
 
 enum class BackendKind { kInProcess, kSpill, kDistributed };
 
+/// Upper bound on --workers: the distributed backend forks its whole
+/// fleet as gpf_worker processes on the local host.
+inline constexpr int kMaxWorkers = 256;
+
 struct BackendSpec {
   BackendKind kind = BackendKind::kInProcess;
   engine::EngineConfig engine;
@@ -20,8 +24,8 @@ struct BackendSpec {
   /// directory (empty = fresh temp dir).
   std::size_t store_budget = 0;
   std::string spill_directory;
-  /// Distributed backend: fleet size and gpf_worker path (empty =
-  /// GPF_WORKER_BIN env).
+  /// Distributed backend: fleet size (1..kMaxWorkers) and gpf_worker
+  /// path (empty = GPF_WORKER_BIN env).
   int workers = 2;
   std::string worker_binary;
 };
@@ -41,12 +45,13 @@ std::unique_ptr<core::ExecutionBackend> make_backend(const BackendSpec& spec);
 /// arguments (and their order) untouched:
 ///
 ///   --backend {inprocess,spill,distributed}
-///   --store-budget BYTES     (spill residency budget)
-///   --workers N              (distributed fleet size)
+///   --store-budget BYTES     (spill residency budget, 0 = default)
+///   --workers N              (distributed fleet size, 1..kMaxWorkers)
 ///
-/// Both "--flag=value" and "--flag value" forms are accepted.  Throws
-/// std::invalid_argument on an unknown backend name or a non-numeric
-/// value.
+/// Both "--flag=value" and "--flag value" forms are accepted.  Numbers
+/// are unsigned decimal digits only.  Throws std::invalid_argument, with
+/// a "bad <flag> ..." message, on an unknown backend name, a missing
+/// value, or a number that is malformed or out of range.
 void consume_backend_flags(int& argc, char** argv, BackendSpec& spec);
 
 }  // namespace gpf::exec

@@ -8,9 +8,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <future>
+#include <latch>
 #include <limits>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -159,9 +162,10 @@ TEST(ThreadPool, ManyConcurrentSubmitters) {
   EXPECT_EQ(sum.load(), 256);
 }
 
-TEST(ThreadPoolWorkStealing, SkewedSubmissionDrainsAcrossWorkers) {
-  // All heavy tasks land on one deque via round-robin bursts; idle
-  // workers must steal them for the batch to finish promptly.
+TEST(ThreadPool, BurstOfSubmissionsDrainsAcrossWorkers) {
+  // A stage is one burst of external submissions; all four workers share
+  // the one task list, so the batch finishes without any one worker
+  // running it alone.
   ThreadPool pool(4);
   std::atomic<int> ran{0};
   std::vector<std::future<void>> futs;
@@ -175,11 +179,11 @@ TEST(ThreadPoolWorkStealing, SkewedSubmissionDrainsAcrossWorkers) {
   EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPoolWorkStealing, WorkerLocalSubmissionsVisibleToThieves) {
+TEST(ThreadPool, WorkerSubmissionsRunOnOtherWorkers) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
-  // A worker task fans out subtasks onto its own deque; other workers
-  // must be able to steal them.
+  // A worker task fans out subtasks and blocks on them; the other
+  // workers must take them from the shared list.
   pool.submit([&] {
       std::vector<std::future<void>> inner;
       for (int i = 0; i < 32; ++i) {
@@ -191,6 +195,47 @@ TEST(ThreadPoolWorkStealing, WorkerLocalSubmissionsVisibleToThieves) {
       for (auto& f : inner) f.get();
     }).get();
   EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(ThreadPool, StartsNewestQueuedTaskFirst) {
+  ThreadPool pool(1);
+  std::latch started(1);
+  std::latch release(1);
+  auto blocker = pool.submit([&] {
+    started.count_down();
+    release.wait();
+  });
+  // The only worker is now held, so A, B and C all wait in the list.
+  started.wait();
+  std::mutex mu;
+  std::string order;
+  std::vector<std::future<void>> futs;
+  for (char name : {'A', 'B', 'C'}) {
+    futs.push_back(pool.submit([&, name] {
+      std::lock_guard lock(mu);
+      order.push_back(name);
+    }));
+  }
+  release.count_down();
+  blocker.get();
+  for (auto& f : futs) f.get();
+  EXPECT_EQ(order, "CBA");
+}
+
+TEST(ThreadPool, DestructorRunsQueuedTasks) {
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 100; ++i) {
+      // The futures are dropped unread: only the destructor's drain can
+      // make all 100 run.
+      (void)pool.submit([&ran] {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        ran.fetch_add(1);
+      });
+    }
+  }
+  EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(Rng, DeterministicForSeed) {

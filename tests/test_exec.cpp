@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -53,6 +54,65 @@ class SetterProcess final : public core::Process {
   IntResource* out_;
   bool wide_;
 };
+
+/// Runs exec::consume_backend_flags on `args` (argv[0] is added) and
+/// returns the arguments it left behind.  Parsing only: no backend is
+/// built and no worker process is started.
+std::vector<std::string> consume_flags(std::vector<std::string> args,
+                                       exec::BackendSpec& spec) {
+  args.insert(args.begin(), "tool");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  int argc = static_cast<int>(args.size());
+  exec::consume_backend_flags(argc, argv.data(), spec);
+  return {argv.begin() + 1, argv.begin() + argc};
+}
+
+TEST(BackendFlags, AcceptsInRangeValuesInBothForms) {
+  exec::BackendSpec spec;
+  const auto rest = consume_flags(
+      {"pipeline", "--backend", "distributed", "--workers=1", "ref.fa"}, spec);
+  EXPECT_EQ(rest, (std::vector<std::string>{"pipeline", "ref.fa"}));
+  EXPECT_EQ(spec.kind, exec::BackendKind::kDistributed);
+  EXPECT_EQ(spec.workers, 1);
+  const std::string max_workers = std::to_string(exec::kMaxWorkers);
+  consume_flags({"--workers", max_workers, "--store-budget=65536"}, spec);
+  EXPECT_EQ(spec.workers, exec::kMaxWorkers);
+  EXPECT_EQ(spec.store_budget, 65536u);
+  consume_flags({"--store-budget", "0"}, spec);
+  EXPECT_EQ(spec.store_budget, 0u);
+}
+
+TEST(BackendFlags, RejectsSignedZeroAndUnboundedWorkers) {
+  const std::string above = std::to_string(exec::kMaxWorkers + 1);
+  const std::string huge = "99999999999999999999";  // past unsigned long long
+  std::vector<std::string> bad = {"-1", "+2", "0", above, huge, "", "2x", " 2"};
+  for (const std::string& value : bad) {
+    exec::BackendSpec spec;
+    try {
+      consume_flags({"--workers", value}, spec);
+      ADD_FAILURE() << "accepted --workers '" << value << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string want = "bad --workers '" + value + "'";
+      EXPECT_EQ(std::string(e.what()).rfind(want, 0), 0u) << e.what();
+    }
+    EXPECT_EQ(spec.workers, 2) << value;
+  }
+}
+
+TEST(BackendFlags, RejectsSignedStoreBudgetUnknownBackendAndMissingValue) {
+  exec::BackendSpec spec;
+  EXPECT_THROW(consume_flags({"--store-budget", "-65536"}, spec),
+               std::invalid_argument);
+  EXPECT_THROW(consume_flags({"--store-budget=+1"}, spec),
+               std::invalid_argument);
+  EXPECT_THROW(consume_flags({"--backend", "gpu"}, spec),
+               std::invalid_argument);
+  EXPECT_THROW(consume_flags({"--workers"}, spec), std::invalid_argument);
+  EXPECT_EQ(spec.store_budget, 0u);
+  EXPECT_EQ(spec.kind, exec::BackendKind::kInProcess);
+}
 
 TEST(PhysicalPlan, WavesWideFlagsAndDescribe) {
   engine::Engine engine({.worker_threads = 1});
