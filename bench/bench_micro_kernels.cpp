@@ -309,19 +309,21 @@ KernelReport report_seq_pack(const simd::Level fast) {
   double bases = 0;
   for (const auto& s : seqs) bases += static_cast<double>(s.size());
 
-  auto pack_all = [&](simd::Level level) {
-    // Clean reads leave the quality untouched, so the persistent strings
-    // can be passed straight through.
+  // Clean reads leave the quality untouched, so the persistent strings can
+  // be passed straight through.
+  auto pack_all = [&](auto pack) {
     auto q = quals;
     for (std::size_t i = 0; i < seqs.size(); ++i) {
-      benchmark::DoNotOptimize(
-          gpf::detail::compress_sequence_at(level, seqs[i], q[i]));
+      benchmark::DoNotOptimize(pack(seqs[i], q[i]));
     }
   };
+  auto pack_fast = [fast](std::string_view seq, std::string& qual) {
+    return gpf::detail::compress_sequence_at(fast, seq, qual);
+  };
   KernelReport r{"seq_pack", "MB/s"};
-  const double base_s =
-      seconds_per_call([&] { pack_all(simd::Level::kScalar); });
-  const double fast_s = seconds_per_call([&] { pack_all(fast); });
+  const double base_s = seconds_per_call(
+      [&] { pack_all(gpf::detail::compress_sequence_reference); });
+  const double fast_s = seconds_per_call([&] { pack_all(pack_fast); });
   r.baseline = bases / base_s / 1e6;
   r.optimized = bases / fast_s / 1e6;
 
@@ -333,9 +335,8 @@ KernelReport report_seq_pack(const simd::Level fast) {
   for (std::size_t i = 0; i < mixed.size(); ++i) {
     std::string qa = mixed_quals[i];
     std::string qb = mixed_quals[i];
-    const auto ca =
-        gpf::detail::compress_sequence_at(simd::Level::kScalar, mixed[i], qa);
-    const auto cb = gpf::detail::compress_sequence_at(fast, mixed[i], qb);
+    const auto ca = gpf::detail::compress_sequence_reference(mixed[i], qa);
+    const auto cb = pack_fast(mixed[i], qb);
     if (ca.packed != cb.packed || ca.length != cb.length || qa != qb) {
       r.outputs_match = false;
     }
@@ -343,28 +344,27 @@ KernelReport report_seq_pack(const simd::Level fast) {
   return r;
 }
 
-KernelReport report_seq_unpack(const simd::Level fast) {
+KernelReport report_seq_unpack() {
   const auto seqs = harness_sequences(/*with_specials=*/false);
   auto quals = harness_qualities(seqs);
   std::vector<CompressedSequence> packed;
   packed.reserve(seqs.size());
   double bases = 0;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    packed.push_back(gpf::detail::compress_sequence_at(simd::Level::kScalar,
-                                                       seqs[i], quals[i]));
+    packed.push_back(compress_sequence(seqs[i], quals[i]));
     bases += static_cast<double>(seqs[i].size());
   }
 
-  auto unpack_all = [&](simd::Level level) {
+  auto unpack_all = [&](auto unpack) {
     for (std::size_t i = 0; i < packed.size(); ++i) {
-      benchmark::DoNotOptimize(
-          gpf::detail::decompress_sequence_at(level, packed[i], quals[i]));
+      benchmark::DoNotOptimize(unpack(packed[i], quals[i]));
     }
   };
   KernelReport r{"seq_unpack", "MB/s"};
-  const double base_s =
-      seconds_per_call([&] { unpack_all(simd::Level::kScalar); });
-  const double fast_s = seconds_per_call([&] { unpack_all(fast); });
+  const double base_s = seconds_per_call(
+      [&] { unpack_all(gpf::detail::decompress_sequence_reference); });
+  const double fast_s =
+      seconds_per_call([&] { unpack_all(decompress_sequence); });
   r.baseline = bases / base_s / 1e6;
   r.optimized = bases / fast_s / 1e6;
 
@@ -373,20 +373,17 @@ KernelReport report_seq_unpack(const simd::Level fast) {
   const auto mixed_quals = harness_qualities(mixed);
   for (std::size_t i = 0; i < mixed.size(); ++i) {
     std::string enc_q = mixed_quals[i];
-    const auto comp = gpf::detail::compress_sequence_at(simd::Level::kScalar,
-                                                        mixed[i], enc_q);
+    const auto comp = compress_sequence(mixed[i], enc_q);
     std::string qa = enc_q;
     std::string qb = enc_q;
-    const std::string sa =
-        gpf::detail::decompress_sequence_at(simd::Level::kScalar, comp, qa);
-    const std::string sb =
-        gpf::detail::decompress_sequence_at(fast, comp, qb);
+    const std::string sa = gpf::detail::decompress_sequence_reference(comp, qa);
+    const std::string sb = decompress_sequence(comp, qb);
     if (sa != sb || qa != qb) r.outputs_match = false;
   }
   return r;
 }
 
-KernelReport report_qual_decode(const simd::Level fast) {
+KernelReport report_qual_decode() {
   const auto seqs = harness_sequences(/*with_specials=*/false);
   const auto quals = harness_qualities(seqs);
   const QualityCodec codec = QualityCodec::train(quals);
@@ -396,16 +393,17 @@ KernelReport report_qual_decode(const simd::Level fast) {
   double chars = 0;
   for (const auto& q : quals) chars += static_cast<double>(q.size());
 
-  auto decode_all = [&](simd::Level level) {
+  auto decode_all = [&](auto decode) {
     BitReader br(std::span(bits.data(), bits.size()));
     for (std::size_t i = 0; i < quals.size(); ++i) {
-      benchmark::DoNotOptimize(codec.decode_at(level, br));
+      benchmark::DoNotOptimize((codec.*decode)(br));
     }
   };
   KernelReport r{"qual_decode", "MB/s"};
   const double base_s =
-      seconds_per_call([&] { decode_all(simd::Level::kScalar); });
-  const double fast_s = seconds_per_call([&] { decode_all(fast); });
+      seconds_per_call([&] { decode_all(&QualityCodec::decode_reference); });
+  const double fast_s =
+      seconds_per_call([&] { decode_all(&QualityCodec::decode); });
   r.baseline = chars / base_s / 1e6;
   r.optimized = chars / fast_s / 1e6;
 
@@ -413,8 +411,8 @@ KernelReport report_qual_decode(const simd::Level fast) {
   BitReader ba(std::span(bits.data(), bits.size()));
   BitReader bb(std::span(bits.data(), bits.size()));
   for (std::size_t i = 0; i < quals.size(); ++i) {
-    const std::string da = codec.decode_at(simd::Level::kScalar, ba);
-    const std::string db = codec.decode_at(fast, bb);
+    const std::string da = codec.decode_reference(ba);
+    const std::string db = codec.decode(bb);
     if (da != quals[i] || db != quals[i]) r.outputs_match = false;
   }
   return r;
@@ -768,8 +766,8 @@ int run_json_harness(const std::string& path) {
   const simd::Level fast = simd::active_level();
   std::vector<KernelReport> reports;
   reports.push_back(report_seq_pack(fast));
-  reports.push_back(report_seq_unpack(fast));
-  reports.push_back(report_qual_decode(fast));
+  reports.push_back(report_seq_unpack());
+  reports.push_back(report_qual_decode());
   reports.push_back(report_sw("sw_banded_global", /*glocal_mode=*/false));
   reports.push_back(report_sw("sw_glocal", /*glocal_mode=*/true));
   reports.push_back(report_sw_batch());

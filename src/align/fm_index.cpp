@@ -81,11 +81,7 @@ __attribute__((target("popcnt"))) SaInterval search_popcnt(
   return backward_search(blocks, c, rows, pattern);
 }
 
-bool use_popcnt() {
-  static const bool yes = simd::active_level() > simd::Level::kScalar &&
-                          __builtin_cpu_supports("popcnt");
-  return yes;
-}
+bool use_popcnt() { return __builtin_cpu_supports("popcnt"); }
 #endif
 
 }  // namespace

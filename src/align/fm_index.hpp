@@ -49,9 +49,9 @@ struct RefPosition {
 /// search() runs its whole backward loop in one of two builds of the same
 /// code: one compiled for the POPCNT instruction, one with the portable
 /// std::popcount (a libgcc call on the x86-64 baseline).  It takes the
-/// POPCNT build when the CPU has it and simd::active_level() is above
-/// scalar, so GPF_SIMD_MAX=scalar pins the portable one.  Both give the
-/// same intervals.
+/// POPCNT build whenever the CPU has it, whatever the SIMD level; the
+/// portable one serves CPUs without it and extend() on every machine.
+/// Both give the same intervals.
 ///
 /// The suffix array is kept whole rather than sampled: at the multi-
 /// megabase scale of the synthetic genomes, a sampled SA with row markers

@@ -1,14 +1,13 @@
 // Portable SIMD/SWAR support for the hot codec and alignment kernels.
 //
 // Three dispatch levels: a pure-C++ 64-bit SWAR path that compiles and runs
-// everywhere, and guarded AVX2 and AVX-512 paths selected at runtime from
-// CPUID.  The scalar path is always compiled so it stays testable on any
-// machine, and it is the only level off x86-64 or on an x86 CPU without
-// AVX2.  The environment variable GPF_SIMD_MAX=scalar|avx2|avx512 caps
-// dispatch at that level (the perf-regression harness and the tests use
-// it to measure and check every level on the same binary).  Only the two
-// batched DP kernels (pair-HMM, glocal_batch) have an AVX-512 build; every
-// other kernel runs its AVX2 path at kAvx512.
+// everywhere (the only level off x86-64 or without AVX2), and guarded AVX2
+// and AVX-512 paths picked at runtime from CPUID.  A level gates intrinsics
+// only: pure-C++ fast paths (table codecs, SWAR loops) run at every level.
+// GPF_SIMD_MAX=scalar|avx2|avx512 caps dispatch at that level (the perf
+// harness and the tests use it to measure and check every level on one
+// binary).  Only the two batched DP kernels (pair-HMM, glocal_batch) have
+// an AVX-512 build; every other kernel runs its AVX2 path at kAvx512.
 #pragma once
 
 #include <algorithm>

@@ -51,38 +51,36 @@ void QualityCodec::encode(std::string_view quality, BitWriter& out) const {
 }
 
 std::string QualityCodec::decode(BitReader& in) const {
-  return decode_at(simd::active_level(), in);
-}
-
-std::string QualityCodec::decode_at(simd::Level level, BitReader& in) const {
   std::string out;
   char prev = 0;
-  if (level != simd::Level::kScalar) {
-    for (;;) {
-      // Fast loop: one table probe yields up to kMultiSymbols symbols.
-      // Only valid while the window is backed by real bits (peek zero-pads
-      // past the end of the stream).
-      while (in.bits_left() >=
-             static_cast<std::size_t>(HuffmanCoder::kTableBits)) {
-        const HuffmanCoder::MultiEntry& e =
-            coder_.multi_entry(in.peek(HuffmanCoder::kTableBits));
-        if (e.count == 0) break;  // long code: take the slow path below
-        for (int k = 0; k < e.count; ++k) {
-          if (e.symbols[k] == kQualityEof) {
-            in.skip(e.bit_ends[k]);
-            return out;
-          }
-          prev = apply_delta(prev, e.symbols[k]);
-          out.push_back(prev);
+  for (;;) {
+    // Fast loop: one probe yields up to kMultiSymbols symbols, while real
+    // bits back the window (peek zero-pads past the end of the stream).
+    while (in.bits_left() >=
+           static_cast<std::size_t>(HuffmanCoder::kTableBits)) {
+      const HuffmanCoder::MultiEntry& e =
+          coder_.multi_entry(in.peek(HuffmanCoder::kTableBits));
+      if (e.count == 0) break;  // long code: one symbol below
+      for (int k = 0; k < e.count; ++k) {
+        if (e.symbols[k] == kQualityEof) {
+          in.skip(e.bit_ends[k]);
+          return out;
         }
-        in.skip(e.bit_ends[e.count - 1]);
+        prev = apply_delta(prev, e.symbols[k]);
+        out.push_back(prev);
       }
-      const std::uint32_t symbol = coder_.decode(in);
-      if (symbol == kQualityEof) return out;
-      prev = apply_delta(prev, symbol);
-      out.push_back(prev);
+      in.skip(e.bit_ends[e.count - 1]);
     }
+    const std::uint32_t symbol = coder_.decode(in);
+    if (symbol == kQualityEof) return out;
+    prev = apply_delta(prev, symbol);
+    out.push_back(prev);
   }
+}
+
+std::string QualityCodec::decode_reference(BitReader& in) const {
+  std::string out;
+  char prev = 0;
   for (;;) {
     const std::uint32_t symbol = coder_.decode(in);
     if (symbol == kQualityEof) return out;

@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "compress/bitio.hpp"
 #include "compress/huffman.hpp"
 
@@ -37,13 +36,11 @@ class QualityCodec {
   /// Appends the delta-coded record plus EOF to `out`.
   void encode(std::string_view quality, BitWriter& out) const;
 
-  /// Decodes one record (up to EOF).
+  /// Decodes one record (up to EOF) through the multi-symbol table.
   std::string decode(BitReader& in) const;
 
-  /// decode() with an explicit dispatch level: kScalar takes the
-  /// symbol-at-a-time path, anything higher the multi-symbol table loop.
-  /// Exposed for the equivalence tests and the perf-regression harness.
-  std::string decode_at(simd::Level level, BitReader& in) const;
+  /// Test oracle and benchmark baseline: decode() one symbol at a time.
+  std::string decode_reference(BitReader& in) const;
 
  private:
   explicit QualityCodec(HuffmanCoder coder) : coder_(std::move(coder)) {}

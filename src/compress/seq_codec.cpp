@@ -5,8 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "common/simd.hpp"
-
 namespace gpf {
 namespace {
 
@@ -133,6 +131,29 @@ __attribute__((target("avx2"))) std::size_t compress_avx2(
 
 #endif  // GPF_SIMD_X86
 
+/// Checks the lengths and returns the zeroed output for packing `sequence`.
+CompressedSequence pack_target(std::string_view sequence,
+                               const std::string& quality) {
+  if (quality.size() != sequence.size()) {
+    throw std::invalid_argument("sequence/quality length mismatch");
+  }
+  return {static_cast<std::uint32_t>(sequence.size()),
+          std::vector<std::uint8_t>(packed_size(sequence.size()), 0)};
+}
+
+/// Checks the lengths and returns the output for unpacking `compressed`.
+/// One size test up front keeps bounds checks out of the per-base loops.
+std::string unpack_target(const CompressedSequence& compressed,
+                          const std::string& quality) {
+  if (quality.size() != compressed.length) {
+    throw std::invalid_argument("quality length mismatch on decompress");
+  }
+  if (compressed.packed.size() < packed_size(compressed.length)) {
+    throw std::out_of_range("decompress_sequence: packed buffer too small");
+  }
+  return std::string(compressed.length, 'A');
+}
+
 }  // namespace
 
 std::size_t packed_size(std::size_t bases) { return (bases + 3) / 4; }
@@ -142,21 +163,11 @@ namespace detail {
 CompressedSequence compress_sequence_at(simd::Level level,
                                         std::string_view sequence,
                                         std::string& quality) {
-  if (quality.size() != sequence.size()) {
-    throw std::invalid_argument("sequence/quality length mismatch");
-  }
-  CompressedSequence out;
-  out.length = static_cast<std::uint32_t>(sequence.size());
-  out.packed.assign(packed_size(sequence.size()), 0);
+  CompressedSequence out = pack_target(sequence, quality);
   const char* seq = sequence.data();
   char* qual = quality.data();
   std::uint8_t* packed = out.packed.data();
   const std::size_t n = sequence.size();
-
-  if (level == simd::Level::kScalar) {
-    compress_block_scalar(seq, qual, 0, n, packed);
-    return out;
-  }
 
   std::size_t i = 0;
 #if defined(GPF_SIMD_X86)
@@ -178,45 +189,54 @@ CompressedSequence compress_sequence_at(simd::Level level,
   return out;
 }
 
-std::string decompress_sequence_at(simd::Level level,
-                                   const CompressedSequence& compressed,
-                                   std::string& quality) {
-  if (quality.size() != compressed.length) {
-    throw std::invalid_argument("quality length mismatch on decompress");
-  }
-  const std::size_t n = compressed.length;
-  // Bounds check hoisted out of the per-base loop: one size test up front
-  // replaces the per-iteration .at() the scalar loop used to pay.
-  if (compressed.packed.size() < packed_size(n)) {
-    throw std::out_of_range("decompress_sequence: packed buffer too small");
-  }
-  std::string seq(n, 'A');
+CompressedSequence compress_sequence_reference(std::string_view sequence,
+                                               std::string& quality) {
+  CompressedSequence out = pack_target(sequence, quality);
+  compress_block_scalar(sequence.data(), quality.data(), 0, sequence.size(),
+                        out.packed.data());
+  return out;
+}
+
+std::string decompress_sequence_reference(
+    const CompressedSequence& compressed, std::string& quality) {
+  std::string seq = unpack_target(compressed, quality);
+  const std::size_t n = seq.size();
   const std::uint8_t* packed = compressed.packed.data();
   char* sp = seq.data();
   char* qp = quality.data();
-
-  if (level == simd::Level::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint8_t code = (packed[i >> 2] >> ((i & 3) * 2)) & 0b11;
-      if (qp[i] == kEscapeQuality) {
-        // An escaped special base: the stored code is 'A' by construction.
-        sp[i] = 'N';
-        qp[i] = kRestoredQuality;
-      } else {
-        sp[i] = kCodeToBase[code];
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (qp[i] == kEscapeQuality) {
+      // An escaped special base: the stored code is 'A' by construction.
+      sp[i] = 'N';
+      qp[i] = kRestoredQuality;
+    } else {
+      sp[i] = kCodeToBase[(packed[i >> 2] >> ((i & 3) * 2)) & 0b11];
     }
-    return seq;
   }
+  return seq;
+}
+
+}  // namespace detail
+
+CompressedSequence compress_sequence(std::string_view sequence,
+                                     std::string& quality) {
+  return detail::compress_sequence_at(simd::active_level(), sequence, quality);
+}
+
+std::string decompress_sequence(const CompressedSequence& compressed,
+                                std::string& quality) {
+  std::string seq = unpack_target(compressed, quality);
+  const std::size_t n = seq.size();
+  const std::uint8_t* packed = compressed.packed.data();
+  char* sp = seq.data();
+  char* qp = quality.data();
 
   // Table-driven bulk unpack: one 256-entry lookup expands four bases.
   const std::size_t full = n / 4;
   for (std::size_t g = 0; g < full; ++g) {
     std::memcpy(sp + 4 * g, &kUnpackTable[packed[g]], 4);
   }
-  for (std::size_t i = full * 4; i < n; ++i) {
-    sp[i] = kCodeToBase[(packed[i >> 2] >> ((i & 3) * 2)) & 0b11];
-  }
+  if (n % 4) std::memcpy(sp + 4 * full, &kUnpackTable[packed[full]], n % 4);
   // Escape fixups are rare: SWAR-scan the quality string for the sentinel
   // eight bytes at a time and patch only matching lanes.
   std::size_t i = 0;
@@ -238,19 +258,6 @@ std::string decompress_sequence_at(simd::Level level,
     }
   }
   return seq;
-}
-
-}  // namespace detail
-
-CompressedSequence compress_sequence(std::string_view sequence,
-                                     std::string& quality) {
-  return detail::compress_sequence_at(simd::active_level(), sequence, quality);
-}
-
-std::string decompress_sequence(const CompressedSequence& compressed,
-                                std::string& quality) {
-  return detail::decompress_sequence_at(simd::active_level(), compressed,
-                                        quality);
 }
 
 }  // namespace gpf

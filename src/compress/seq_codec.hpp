@@ -48,16 +48,18 @@ std::size_t packed_size(std::size_t bases);
 
 namespace detail {
 
-/// Entry points with an explicit dispatch level.  The public functions call
-/// these with simd::active_level(); tests and the perf harness call them
-/// directly to assert the SWAR/AVX2 paths are byte-identical to the
-/// scalar path and to measure each path on the same machine.
+/// compress_sequence() at an explicit level, which picks only the AVX2
+/// pack (kAvx2 and up) over the SWAR one; tests and the perf harness call
+/// it to check and time each level on one machine.
 CompressedSequence compress_sequence_at(simd::Level level,
                                         std::string_view sequence,
                                         std::string& quality);
-std::string decompress_sequence_at(simd::Level level,
-                                   const CompressedSequence& compressed,
-                                   std::string& quality);
+/// Test oracles and benchmark baselines: one base at a time, with the same
+/// outputs and exceptions as the public functions.
+CompressedSequence compress_sequence_reference(std::string_view sequence,
+                                               std::string& quality);
+std::string decompress_sequence_reference(
+    const CompressedSequence& compressed, std::string& quality);
 
 }  // namespace detail
 

@@ -516,34 +516,31 @@ TEST(LiveSize, AccountsForHeapStrings) {
 
 // --- cross-level SIMD equivalence -----------------------------------------
 
-/// Asserts every available level compresses and decompresses `seq`
-/// byte-identically to the scalar path (packed payload, rewritten quality,
-/// restored sequence and quality).
+/// Asserts every runnable level compresses `seq` byte-identically to the
+/// one-base-at-a-time reference (packed payload, rewritten quality), and
+/// that decompress_sequence restores what the reference unpack restores.
 void expect_levels_agree(const std::string& seq, const std::string& qual) {
-  std::string scalar_qual = qual;
-  const auto scalar = detail::compress_sequence_at(simd::Level::kScalar, seq,
-                                                   scalar_qual);
+  std::string ref_qual = qual;
+  const auto ref = detail::compress_sequence_reference(seq, ref_qual);
   for (const simd::Level level : tests::runnable_levels()) {
     std::string q = qual;
     const auto got = detail::compress_sequence_at(level, seq, q);
-    ASSERT_EQ(got.length, scalar.length) << simd::level_name(level);
-    ASSERT_EQ(got.packed, scalar.packed) << simd::level_name(level);
-    ASSERT_EQ(q, scalar_qual) << simd::level_name(level);
-
-    std::string dq_scalar = scalar_qual;
-    std::string dq = scalar_qual;
-    const std::string want = detail::decompress_sequence_at(
-        simd::Level::kScalar, scalar, dq_scalar);
-    const std::string out = detail::decompress_sequence_at(level, got, dq);
-    ASSERT_EQ(out, want) << simd::level_name(level);
-    ASSERT_EQ(dq, dq_scalar) << simd::level_name(level);
-    // Any special base round-trips as 'N' (the escape is N-restoring).
-    std::string expected = seq;
-    for (auto& c : expected) {
-      if (c != 'A' && c != 'C' && c != 'G' && c != 'T') c = 'N';
-    }
-    ASSERT_EQ(out, expected) << simd::level_name(level);
+    ASSERT_EQ(got.length, ref.length) << simd::level_name(level);
+    ASSERT_EQ(got.packed, ref.packed) << simd::level_name(level);
+    ASSERT_EQ(q, ref_qual) << simd::level_name(level);
   }
+  std::string dq_ref = ref_qual;
+  std::string dq = ref_qual;
+  const std::string want = detail::decompress_sequence_reference(ref, dq_ref);
+  const std::string out = decompress_sequence(ref, dq);
+  ASSERT_EQ(out, want);
+  ASSERT_EQ(dq, dq_ref);
+  // Any special base round-trips as 'N' (the escape is N-restoring).
+  std::string expected = seq;
+  for (auto& c : expected) {
+    if (c != 'A' && c != 'C' && c != 'G' && c != 'T') c = 'N';
+  }
+  ASSERT_EQ(out, expected);
 }
 
 TEST(SeqCodecSimd, RandomReadsAllLevelsBitIdentical) {
@@ -595,12 +592,10 @@ TEST(SeqCodecSimd, TruncatedPackedThrowsAtEveryLevel) {
   CompressedSequence bad;
   bad.length = 10;
   bad.packed = {0x00};  // needs ceil(10/4) == 3 bytes
-  for (const simd::Level level : tests::runnable_levels()) {
-    std::string qual(10, 'I');
-    EXPECT_THROW(detail::decompress_sequence_at(level, bad, qual),
-                 std::out_of_range)
-        << simd::level_name(level);
-  }
+  std::string qual(10, 'I');
+  EXPECT_THROW(decompress_sequence(bad, qual), std::out_of_range);
+  EXPECT_THROW(detail::decompress_sequence_reference(bad, qual),
+               std::out_of_range);
 }
 
 TEST(QualCodecSimd, MultiSymbolDecodeMatchesScalar) {
@@ -626,14 +621,47 @@ TEST(QualCodecSimd, MultiSymbolDecodeMatchesScalar) {
   BitReader scalar_in(std::span(bytes.data(), bytes.size()));
   BitReader multi_in(std::span(bytes.data(), bytes.size()));
   for (const auto& q : quals) {
-    // Any non-scalar level takes the multi-symbol table loop; the flag is
-    // dispatch-only (no ISA-specific instructions), so kAvx2 is safe here.
-    const std::string scalar = codec.decode_at(simd::Level::kScalar,
-                                               scalar_in);
-    const std::string multi = codec.decode_at(simd::Level::kAvx2, multi_in);
+    const std::string scalar = codec.decode_reference(scalar_in);
+    const std::string multi = codec.decode(multi_in);
     ASSERT_EQ(scalar, q);
     ASSERT_EQ(multi, q);
   }
+}
+
+TEST(QualCodecSimd, LongCodeMidRecordAndBeforeEof) {
+  // Training on tight +-2 walks leaves every other delta at the floor
+  // frequency, so a jump of +30 codes longer than the decode table window.
+  Rng rng(141);
+  std::vector<std::string> training;
+  for (int i = 0; i < 256; ++i) {
+    std::string q(100, 'I');
+    int cur = 'I';
+    for (auto& c : q) {
+      cur = std::clamp(cur + static_cast<int>(rng.below(5)) - 2, '#' + 0,
+                       'J' + 0);
+      c = static_cast<char>(cur);
+    }
+    training.push_back(std::move(q));
+  }
+  const QualityCodec codec = QualityCodec::train(training);
+  const std::uint32_t jump = 30 + 128;  // symbol of delta +30
+  ASSERT_GT(codec.serialize_table()[jump], HuffmanCoder::kTableBits);
+
+  const std::string peak(1, static_cast<char>('I' + 30));
+  const std::vector<std::string> records = {
+      "IIIIIIII" + peak + "IIIIIIIIIIII",  // long codes mid-record
+      "IIIIIIII" + peak,  // the stream's last symbol before EOF
+  };
+  BitWriter w;
+  for (const auto& q : records) codec.encode(q, w);
+  const auto bytes = w.finish();
+  BitReader fast_in(std::span(bytes.data(), bytes.size()));
+  BitReader ref_in(std::span(bytes.data(), bytes.size()));
+  for (const auto& q : records) {
+    EXPECT_EQ(codec.decode(fast_in), q);
+    EXPECT_EQ(codec.decode_reference(ref_in), q);
+  }
+  EXPECT_EQ(fast_in.bits_left(), ref_in.bits_left());
 }
 
 TEST(HuffmanMulti, MultiEntriesConsistentWithSingleDecode) {
